@@ -163,7 +163,11 @@ def _decide_cell(
         )
         cache[key] = counts
     evidence = [(a, table.cell(row, a)) for a in app.determinants]
-    candidates = sorted(candidate_values(table, attr, rule))
+    # The cache lives for one round, during which the table does not change.
+    candidates = cache.get((rule.condition, attr))
+    if candidates is None:
+        candidates = sorted(candidate_values(table, attr, rule))
+        cache[(rule.condition, attr)] = candidates
     joints = {d: counts.joint(d, evidence) for d in candidates}
     total = sum(joints.values())
     scored = [
@@ -219,9 +223,8 @@ def impute_internal(
         fills = [d for d in sweep if d.chosen is not None]
         if not fills:
             break
-        for decision in fills:
-            current = current.with_cell(decision.row, decision.attr, decision.chosen)
-            fill_decisions.append(decision)
+        current = current.with_cells((d.row, d.attr, d.chosen) for d in fills)
+        fill_decisions.extend(fills)
         filled_cells = {(d.row, d.attr) for d in fills}
         remaining = [cell for cell in remaining if cell not in filled_cells]
         if not remaining:

@@ -21,10 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from .bayes import ABSTAIN
 from .depgraph import DependencyGraph, RuleApplication
 from .tabular import MISSING, Cell, Table
-
-ABSTAIN = None
 
 
 @dataclass(frozen=True)

@@ -77,6 +77,12 @@ class RunConfig:
             raise ValueError("pages must be >= 1")
         if self.sample < 1:
             raise ValueError("sample must be >= 1")
+        if self.max_rounds < 1:
+            raise ValueError("max_rounds must be >= 1")
+        if self.max_gap < 1:
+            raise ValueError("max_gap must be >= 1")
+        if self.page_size < 1:
+            raise ValueError("page_size must be >= 1")
         if self.max_concurrent_queries < 1:
             raise ValueError("max_concurrent_queries must be >= 1")
         if self.query_retries < 0:
@@ -369,12 +375,12 @@ def impute(
     else:
         results = [run_cell(cell) for cell in cells]
 
-    final = internal_table
     for cell, outcome in zip(cells, results):
         outcome.alternatives = outcomes[cell].alternatives
         outcomes[cell] = outcome
-        if outcome.value is not None:
-            final = final.with_cell(outcome.row, outcome.attr, outcome.value)
+    final = internal_table.with_cells(
+        (o.row, o.attr, o.value) for o in results if o.value is not None
+    )
 
     if config.reiterate:
         refilled, extra_decisions = impute_internal(

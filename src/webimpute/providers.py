@@ -18,11 +18,12 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Protocol
 
-from .textutil import contains_token_seq, tokenize
+from .textutil import find_token_seq, tokenize
 
 PAGE_SIZE = 10
 """Default number of documents per result page."""
@@ -81,31 +82,61 @@ class LocalCorpusProvider:
     whose token sequence occurs in it; zero-score documents are excluded and
     ties break on the document id.  Results are a pure function of
     (corpus, query), and growing the page budget only extends the list.
+
+    The first query tokenises the corpus into a token -> document inverted
+    index (built once, under a lock, since one provider serves every query
+    thread).  A keyword's matching documents are then its token's posting
+    list, or, for a multi-token keyword, the documents on its rarest token's
+    posting list that contain the whole sequence; each keyword's match set
+    is memoised.
     """
 
     def __init__(self, docs: Iterable[tuple[str, str]], page_size: int = PAGE_SIZE):
+        if page_size < 1:
+            raise ValueError(f"page_size must be >= 1, got {page_size}")
         self.docs = list(docs)
         self.page_size = page_size
-        self._tokens = [(doc_id, text, tokenize(text)) for doc_id, text in self.docs]
+        self._lock = threading.Lock()
+        self._tokens: list[list[str]] | None = None
+        self._postings: dict[str, list[int]] = {}
+        self._matches: dict[tuple[str, ...], list[int]] = {}
 
     @classmethod
     def from_jsonl(cls, path: str | Path, page_size: int = PAGE_SIZE) -> "LocalCorpusProvider":
         return cls(load_corpus(path), page_size=page_size)
 
+    def _index(self) -> list[list[str]]:
+        """Per-document tokens; builds the posting lists on first use."""
+        with self._lock:
+            if self._tokens is None:
+                tokens = [tokenize(text) for _, text in self.docs]
+                for i, doc_tokens in enumerate(tokens):
+                    for token in dict.fromkeys(doc_tokens):
+                        self._postings.setdefault(token, []).append(i)
+                self._tokens = tokens
+            return self._tokens
+
+    def _match(self, needle: tuple[str, ...], tokens: list[list[str]]) -> list[int]:
+        """Indices of the documents containing the token sequence ``needle``."""
+        found = self._matches.get(needle)
+        if found is None:  # racing threads store equal lists, so no lock
+            rarest = min((self._postings.get(t, []) for t in needle), key=len)
+            if len(needle) == 1:
+                found = rarest
+            else:
+                seq = list(needle)
+                found = [i for i in rarest if find_token_seq(tokens[i], seq)]
+            self._matches[needle] = found
+        return found
+
     def query(self, q: Query) -> list[Document]:
-        needles = []
-        seen = set()
-        for kw in q.keywords:
-            seq = tuple(tokenize(kw))
-            if seq and seq not in seen:
-                seen.add(seq)
-                needles.append(list(seq))
-        scored = []
-        for doc_id, text, tokens in self._tokens:
-            score = sum(1 for n in needles if contains_token_seq(tokens, n))
-            if score > 0:
-                scored.append((-score, doc_id, text, score))
-        scored.sort()
+        tokens = self._index()
+        needles = dict.fromkeys(tuple(tokenize(kw)) for kw in q.keywords)
+        needles.pop((), None)
+        scores = Counter(i for n in needles for i in self._match(n, tokens))
+        scored = sorted(
+            (-score, *self.docs[i], score) for i, score in scores.items()
+        )
         limit = q.pages * self.page_size
         return [
             Document(doc_id, text, rank, float(score))

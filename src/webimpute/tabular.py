@@ -3,7 +3,8 @@
 Tables are loaded from RFC-4180-style CSV with a header row.  An empty CSV
 field becomes the in-memory :data:`MISSING` marker; every other cell is kept
 byte-exact.  Tables are treated as immutable after construction: all
-"mutation" happens by building a new table (see :meth:`Table.with_cell` and
+"mutation" happens by building a new table (see :meth:`Table.with_cell`,
+:meth:`Table.with_cells`, which applies many updates with one copy, and
 :func:`mask_random`), which makes them safe to share across threads.
 """
 
@@ -71,8 +72,13 @@ class Table:
 
     def with_cell(self, row: int, attr: str, value: Cell) -> "Table":
         """A new table with one cell replaced."""
+        return self.with_cells([(row, attr, value)])
+
+    def with_cells(self, updates: Iterable[tuple[int, str, Cell]]) -> "Table":
+        """A new table with each (row, attr, value) update applied in order."""
         rows = [list(r) for r in self.rows]
-        rows[row][self.column_index(attr)] = value
+        for row, attr, value in updates:
+            rows[row][self.column_index(attr)] = value
         return Table(self.name, list(self.columns), rows)
 
     def missing_cells(self) -> Iterator[tuple[int, str]]:

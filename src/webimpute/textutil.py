@@ -32,14 +32,3 @@ def find_token_seq(haystack: list[str], needle: list[str]) -> list[int]:
         for i in range(len(haystack) - n + 1)
         if haystack[i] == first and haystack[i : i + n] == needle
     ]
-
-
-def contains_token_seq(haystack: list[str], needle: list[str]) -> bool:
-    n = len(needle)
-    if n == 0 or n > len(haystack):
-        return False
-    first = needle[0]
-    for i in range(len(haystack) - n + 1):
-        if haystack[i] == first and haystack[i : i + n] == needle:
-            return True
-    return False

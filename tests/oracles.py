@@ -1,10 +1,11 @@
 """Independent brute-force oracles and random-case generators.
 
 These deliberately avoid the library's internal machinery: frequencies are
-counted with plain loops and the best evidence subgraph is found by
-enumerating every assignment of rules to missing attributes.  They exist so
-the real implementations can be checked against something that cannot share
-their bugs.
+counted with plain loops, the best evidence subgraph is found by
+enumerating every assignment of rules to missing attributes, and retrieval
+scans every document for every keyword.  They exist so the real
+implementations can be checked against something that cannot share their
+bugs.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from __future__ import annotations
 import itertools
 import random
 
-from webimpute import Rule, RuleSet, Table
+from webimpute import Document, Query, Rule, RuleSet, Table
 from webimpute.tabular import MISSING
+from webimpute.textutil import tokenize
 
 
 def bayes_oracle(table: Table, ruleset: RuleSet, row: int, attr: str, k: float):
@@ -74,6 +76,74 @@ def bayes_oracle(table: Table, ruleset: RuleSet, row: int, attr: str, k: float):
     top = max(posteriors.values())
     winner = min(d for d in candidates if posteriors[d] == top)
     return winner if posteriors[winner] >= k else None
+
+
+def internal_fills_oracle(table: Table, ruleset: RuleSet, k: float, max_rounds: int):
+    """Cells the internal pass fills, swept to a fixpoint with :func:`bayes_oracle`.
+
+    Every round decides each still-missing cell against the table as the
+    previous round left it, then applies the round's fills one at a time.
+    """
+    filled = {}
+    for _ in range(max_rounds):
+        fills = {}
+        for row, attr in table.missing_cells():
+            value = bayes_oracle(table, ruleset, row, attr, k)
+            if value is not None:
+                fills[(row, attr)] = value
+        if not fills:
+            break
+        for (row, attr), value in fills.items():
+            table = table.with_cell(row, attr, value)
+        filled.update(fills)
+    return filled
+
+
+def scan_query_oracle(docs, q: Query, page_size: int) -> list[Document]:
+    """Local-corpus retrieval by scanning every document for every keyword."""
+
+    def contains(tokens, needle):
+        n = len(needle)
+        return any(tokens[i : i + n] == needle for i in range(len(tokens) - n + 1))
+
+    needles = []
+    for kw in q.keywords:
+        seq = tokenize(kw)
+        if seq and seq not in needles:
+            needles.append(seq)
+    scored = []
+    for doc_id, text in docs:
+        tokens = tokenize(text)
+        score = sum(1 for n in needles if contains(tokens, n))
+        if score > 0:
+            scored.append((-score, doc_id, text, score))
+    scored.sort()
+    return [
+        Document(doc_id, text, rank, float(score))
+        for rank, (_, doc_id, text, score) in enumerate(scored[: q.pages * page_size])
+    ]
+
+
+def random_corpus_case(rng: random.Random):
+    """A small corpus with duplicate ids and empty texts, and a few queries."""
+    vocab = ["alpha", "beta", "gamma", "delta", "Alpha", "eps"]
+    docs = []
+    for _ in range(rng.randint(0, 25)):
+        doc_id = f"d{rng.randint(0, 9)}"  # ids repeat
+        words = [rng.choice(vocab) for _ in range(rng.randint(0, 8))]
+        docs.append((doc_id, rng.choice([" ", ", ", "-"]).join(words)))
+    queries = []
+    for _ in range(rng.randint(1, 4)):
+        keywords = []
+        for _ in range(rng.randint(1, 4)):
+            # multi-token keywords, tokens absent from the corpus, punctuation only
+            n = rng.randint(1, 3)
+            kw = " ".join(rng.choice(vocab + ["zeta", "!"]) for _ in range(n))
+            keywords.append(kw)
+        if rng.random() < 0.3:
+            keywords.append(keywords[0])  # duplicate keyword
+        queries.append(Query(tuple(keywords), rng.randint(1, 3)))
+    return docs, queries, rng.randint(1, 4)
 
 
 def best_weight_oracle(table: Table, ruleset: RuleSet, row: int, sink: str):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import bayes_oracle, random_bayes_case
+from oracles import bayes_oracle, internal_fills_oracle, random_bayes_case
 from webimpute import (
     MISSING,
     RuleSet,
@@ -114,6 +114,46 @@ class TestImputeInternal:
         assert {c.value: c.posterior for c in decision.candidates} == {
             "b1": 0.5, "b2": 0.5,
         }
+
+    def test_round_sees_candidates_unlocked_by_earlier_rounds(self):
+        # Team -> Arena -> City chain holes, plus a rule conditioned on a
+        # League that row 2 only gains in round 1: from round 2 on, Brooklyn
+        # is an East candidate, which row 3 needs to fill its City
+        table = make_table(
+            ["Team", "League", "Arena", "City"],
+            [
+                ["Hawks", "East", "OldDome", "Atlanta"],
+                ["Hawks", "East", "OldDome", "Atlanta"],
+                ["Nets", MISSING, "NewDome", "Brooklyn"],
+                ["Nets", "East", "NewDome", MISSING],
+                ["Hawks", "East", "OldDome", MISSING],
+                ["Hawks", "East", MISSING, MISSING],
+                ["Suns", "West", "SunDome", "Phoenix"],
+            ],
+        )
+        ruleset, graph = setup_ruleset(
+            "r1: Team -> Arena @ 1.0\n"
+            "r2: Arena -> City @ 0.6\n"
+            "r3: Team -> League @ 1.0\n"
+            "c: [League=East], Arena -> City @ 0.9",
+            table,
+        )
+        east_city = ruleset.rule("c")
+        filled, decisions = impute_internal(table, graph, ruleset, 0.5)
+        assert candidate_values(table, "City", east_city) == {"Atlanta"}
+        assert candidate_values(filled, "City", east_city) == {"Atlanta", "Brooklyn"}
+        chosen = {(d.row, d.attr): d.chosen for d in decisions if d.chosen}
+        assert chosen == internal_fills_oracle(table, ruleset, 0.5, max_rounds=10)
+        assert chosen == {
+            (2, "League"): "East",
+            (3, "City"): "Brooklyn",
+            (4, "City"): "Atlanta",
+            (5, "Arena"): "OldDome",
+            (5, "City"): "Atlanta",
+        }
+        row3 = next(d for d in decisions if (d.row, d.attr) == (3, "City"))
+        assert row3.rule_id == "c"
+        assert [c.value for c in row3.candidates] == ["Atlanta", "Brooklyn"]
 
     def test_tie_breaks_lexicographically(self):
         table = make_table(

@@ -221,6 +221,12 @@ def test_config_validation():
         RunConfig(pages=0)
 
 
+@pytest.mark.parametrize("field", ["max_rounds", "page_size", "max_gap"])
+def test_config_rejects_count_below_one(field):
+    with pytest.raises(ValueError, match=field):
+        RunConfig(**{field: 0})
+
+
 def test_config_default_pattern_support_tracks_page_budget():
     assert RunConfig(pages=5, page_size=10).effective_pattern_support == 25
     assert RunConfig(pages=1, page_size=10).effective_pattern_support == 5

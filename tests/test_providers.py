@@ -1,8 +1,11 @@
 import http.server
+import random
+import sys
 import threading
 
 import pytest
 
+from oracles import random_corpus_case, scan_query_oracle
 from webimpute import Document, HttpProvider, LocalCorpusProvider, ProviderError, Query
 from webimpute.providers import load_corpus, strip_tags
 
@@ -79,6 +82,46 @@ class TestLocalProvider:
         provider = LocalCorpusProvider([("d", "Wheaton, IL: reviews")])
         assert provider.query(Query(("wheaton il",)))
         assert provider.query(Query(("WHEATON",)))
+
+    def test_page_size_must_be_positive(self):
+        with pytest.raises(ValueError, match="page_size"):
+            LocalCorpusProvider([("d", "alpha")], page_size=0)
+
+    def test_index_matches_scan_oracle(self):
+        rng = random.Random(20261017)
+        for _ in range(250):
+            docs, queries, page_size = random_corpus_case(rng)
+            provider = LocalCorpusProvider(docs, page_size=page_size)
+            for q in queries + queries[:1]:  # the repeat is served from the memo
+                assert provider.query(q) == scan_query_oracle(docs, q, page_size)
+
+    def test_concurrent_first_queries_match_serial(self):
+        docs = [(f"d{i:03d}", f"alpha beta w{i % 7} gamma {i}") for i in range(300)]
+        q = Query(("alpha beta", "w3", "gamma"), pages=2)
+        expected = LocalCorpusProvider(docs).query(q)
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                provider = LocalCorpusProvider(docs)
+                barrier = threading.Barrier(4)
+                results = [None] * 4
+
+                def first_query(slot):
+                    barrier.wait(timeout=10)
+                    results[slot] = provider.query(q)
+
+                threads = [
+                    threading.Thread(target=first_query, args=(i,)) for i in range(4)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                    assert not t.is_alive()
+                assert results == [expected] * 4
+        finally:
+            sys.setswitchinterval(old_interval)
 
 
 class TestCorpusFile:

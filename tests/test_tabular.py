@@ -60,6 +60,26 @@ class TestLoad:
         assert table.cell(0, "a") != table.cell(0, "b")
 
 
+def test_with_cells_equals_folded_with_cell():
+    rng = random.Random(31)
+    columns = ["a", "b", "c"]
+    for _ in range(100):
+        rows = [[f"{c}{rng.randint(0, 3)}" for c in columns] for _ in range(rng.randint(1, 6))]
+        table = make_table(columns, rows)
+        # updates may hit one cell twice: the later one wins
+        updates = [
+            (rng.randrange(len(rows)), rng.choice(columns), rng.choice([MISSING, "x", "y"]))
+            for _ in range(rng.randint(0, 8))
+        ]
+        folded = table
+        for row, attr, value in updates:
+            folded = folded.with_cell(row, attr, value)
+        batched = table.with_cells(updates)
+        assert batched.columns == folded.columns
+        assert batched.rows == folded.rows
+        assert table.rows == rows  # the source table is untouched
+
+
 def test_round_trip_is_field_equivalent(nba_table, tmp_path):
     out = tmp_path / "out.csv"
     write_table(nba_table, out)

@@ -1,4 +1,4 @@
-from webimpute.textutil import contains_token_seq, find_token_seq, normalize, tokenize
+from webimpute.textutil import find_token_seq, normalize, tokenize
 
 
 def test_tokenize_casefolds_and_splits_punctuation():
@@ -19,10 +19,3 @@ def test_find_token_seq():
     assert find_token_seq(hay, ["a"]) == [0, 2, 4]
     assert find_token_seq(hay, ["b", "b"]) == []
     assert find_token_seq(hay, []) == []
-
-
-def test_contains_token_seq():
-    hay = tokenize("the Golden State Warriors won")
-    assert contains_token_seq(hay, tokenize("golden state warriors"))
-    assert not contains_token_seq(hay, tokenize("golden warriors"))
-    assert not contains_token_seq(["a"], ["a", "b"])
