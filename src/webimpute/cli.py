@@ -107,7 +107,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--protect", action="append", default=[], metavar="ATTR")
     p.add_argument("--out", required=True, help="per-run metrics CSV")
     p.add_argument("--report", help="plain-text summary (default: stdout)")
-    p.add_argument("--parallel", action="store_true")
 
     p = sub.add_parser("sdg", help="export the dependency graph as DOT")
     p.add_argument("--rules", required=True)
@@ -145,6 +144,12 @@ def _load_config(args) -> RunConfig:
         raise _UsageError(f"bad configuration: {exc}") from None
 
 
+_PROVIDER_KEYS = {  # kind -> (required, optional) keys of a --config provider
+    "local": ({"corpus"}, set()),
+    "http": ({"url_template"}, {"delay_ms", "user_agent", "timeout_ms"}),
+}
+
+
 def _build_provider(args, config: RunConfig):
     if getattr(args, "corpus", None):
         return LocalCorpusProvider.from_jsonl(args.corpus, page_size=config.page_size)
@@ -152,13 +157,27 @@ def _build_provider(args, config: RunConfig):
         return HttpProvider(args.url_template)
     settings = dict(config.provider or {})
     kind = settings.pop("kind", None)
+    if kind is None:
+        raise _UsageError("need --corpus, --url-template, or a provider in --config")
+    if not isinstance(kind, str) or kind not in _PROVIDER_KEYS:
+        raise _UsageError(f"unknown provider kind {kind!r}: expected 'local' or 'http'")
+    required, optional = _PROVIDER_KEYS[kind]
+    unknown = sorted(set(settings) - required - optional)
+    if unknown:
+        raise _UsageError(f"unknown {kind} provider key: {', '.join(unknown)}")
+    missing = sorted(required - set(settings))
+    if missing:
+        raise _UsageError(f"{kind} provider needs key: {', '.join(missing)}")
     if kind == "local":
+        if not isinstance(settings["corpus"], str):
+            raise _UsageError("local provider key corpus must be a file path")
         return LocalCorpusProvider.from_jsonl(
             settings["corpus"], page_size=config.page_size
         )
-    if kind == "http":
+    try:
         return HttpProvider(**settings)
-    raise _UsageError("need --corpus, --url-template, or a provider in --config")
+    except (TypeError, ValueError) as exc:
+        raise _UsageError(f"bad http provider settings: {exc}") from None
 
 
 def _cmd_impute(args) -> int:
@@ -237,8 +256,7 @@ def _cmd_sweep(args) -> int:
     if not ratios or not seeds:
         raise _UsageError("--ratios and --seeds must be non-empty")
     result = sweep(
-        table, ruleset, config, provider, ratios, seeds,
-        protected=args.protect, parallel=args.parallel,
+        table, ruleset, config, provider, ratios, seeds, protected=args.protect
     )
     Path(args.out).write_text(result.to_csv(), encoding="utf-8")
     summary = result.summary()

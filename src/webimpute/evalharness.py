@@ -13,7 +13,6 @@ import csv
 import io
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -185,24 +184,17 @@ def sweep(
     ratios: Sequence[float],
     seeds: Sequence[int],
     protected: Iterable[str] = (),
-    parallel: bool = False,
 ) -> SweepResult:
-    """The full (ratio x seed) grid.  ``parallel`` trades timing fidelity
-    for throughput; metrics are identical either way."""
-    grid = [(ratio, seed) for ratio in ratios for seed in seeds]
-
-    def cell(point: tuple[float, int]) -> SweepRow:
-        ratio, seed = point
-        try:
-            metrics = run_one(table, ruleset, config, provider, ratio, seed, protected)
-            return SweepRow(ratio, seed, metrics)
-        except Exception as exc:  # recorded, sweep continues
-            log.warning("sweep cell ratio=%g seed=%d failed: %s", ratio, seed, exc)
-            return SweepRow(ratio, seed, None, error=str(exc))
-
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            rows = list(pool.map(cell, grid))
-    else:
-        rows = [cell(point) for point in grid]
+    """The full (ratio x seed) grid, one grid point after another."""
+    rows = []
+    for ratio in ratios:
+        for seed in seeds:
+            try:
+                metrics = run_one(
+                    table, ruleset, config, provider, ratio, seed, protected
+                )
+                rows.append(SweepRow(ratio, seed, metrics))
+            except Exception as exc:  # recorded, sweep continues
+                log.warning("sweep cell ratio=%g seed=%d failed: %s", ratio, seed, exc)
+                rows.append(SweepRow(ratio, seed, None, error=str(exc)))
     return SweepResult(rows)

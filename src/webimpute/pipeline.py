@@ -4,10 +4,11 @@ Phase 1 fills what the table's own dependencies can justify.  Phase 2 walks
 the remaining missing cells in row-major order: select the optimal keyword
 group (abstain if its weight is below the group threshold), try mined
 patterns for the group's (source, sink) attribute pairs, and fall back to
-keyword-group extraction when no pattern produces a value.  Every phase-2
-cell is evaluated against the phase-1 snapshot and fills are applied
-afterwards in row-major order, so results are independent of query
-scheduling; provider failures mark the cell abstained and never abort a run.
+keyword-group extraction when no pattern produces a value.  Phase 2 runs
+serially, one cell at a time; every cell is evaluated against the phase-1
+snapshot and its fill is applied afterwards, so no phase-2 fill influences
+another cell.  Provider failures mark the cell abstained and never abort a
+run.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import json
 import logging
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .bayes import BayesDecision, impute_internal
@@ -55,7 +55,7 @@ class RunConfig:
     pages: int = 5
     sample: int = 5                # clean tuples mined per attribute pair
     max_rounds: int = 10
-    max_concurrent_queries: int = 4
+    max_concurrent_queries: int = 4  # accepted and echoed only: phase 2 is serial
     max_gap: int = MAX_GAP
     page_size: int = 10
     query_retries: int = 2         # extra attempts after a retryable failure
@@ -87,30 +87,14 @@ class RunConfig:
             raise ValueError("max_concurrent_queries must be >= 1")
         if self.query_retries < 0:
             raise ValueError("query_retries must be >= 0")
+        if self.provider is not None and not isinstance(self.provider, dict):
+            raise ValueError("provider must be a mapping of provider settings")
 
     @property
     def effective_pattern_support(self) -> int:
         if self.pattern_support is not None:
             return self.pattern_support
         return max(1, math.ceil(0.5 * self.pages * self.page_size))
-
-    def to_dict(self) -> dict:
-        return {
-            "bayes_threshold": self.bayes_threshold,
-            "group_threshold": self.group_threshold,
-            "pattern_support": self.pattern_support,
-            "pages": self.pages,
-            "sample": self.sample,
-            "max_rounds": self.max_rounds,
-            "max_concurrent_queries": self.max_concurrent_queries,
-            "max_gap": self.max_gap,
-            "page_size": self.page_size,
-            "query_retries": self.query_retries,
-            "dictionaries": dict(self.dictionaries),
-            "pattern_cache": self.pattern_cache,
-            "reiterate": self.reiterate,
-            "provider": self.provider,
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -132,19 +116,6 @@ class CellOutcome:
     group_weight: float | None = None
     pattern: dict | None = None
     alternatives: list[dict] | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "row": self.row,
-            "attr": self.attr,
-            "outcome": self.outcome,
-            "value": self.value,
-            "reason": self.reason,
-            "keyword_group": self.keyword_group,
-            "group_weight": self.group_weight,
-            "pattern": self.pattern,
-            "alternatives": self.alternatives,
-        }
 
 
 @dataclass
@@ -173,7 +144,7 @@ class RunReport:
             "table": self.table_name,
             "initial_missing": self.initial_missing,
             "counts": self.counts,
-            "outcomes": [o.to_dict() for o in self.outcomes],
+            "outcomes": [asdict(o) for o in self.outcomes],
             "internal_decisions": [d.to_dict() for d in self.internal_decisions],
             "config": self.config,
         }
@@ -253,6 +224,7 @@ def _mine_needed_patterns(
 def _extract_cell(
     cell: tuple[int, str],
     group: KeywordGroup,
+    alternatives: list[dict],
     table: Table,
     provider: SearchProvider,
     config: RunConfig,
@@ -265,6 +237,7 @@ def _extract_cell(
         attr=attr,
         keyword_group=list(group.keywords),
         group_weight=group.weight,
+        alternatives=alternatives,
     )
     try:
         for source in group.graph.source_attrs:
@@ -326,9 +299,10 @@ def impute(
             )
 
     # Keyword planning against the phase-1 snapshot.
-    remaining = [c for c in initial_missing if c not in outcomes]
-    plans: dict[tuple[int, str], KeywordGroup] = {}
-    for row, attr in remaining:
+    plans: dict[tuple[int, str], tuple[KeywordGroup, list[dict]]] = {}
+    for row, attr in initial_missing:
+        if (row, attr) in outcomes:
+            continue
         graphs = enumerate_single_sink_graphs(graph, internal_table, row, attr)
         group = select_optimal(graphs, config.group_threshold)
         alternatives = [
@@ -340,15 +314,12 @@ def impute(
                 row, attr, ABSTAINED, reason=reason, alternatives=alternatives
             )
         else:
-            plans[(row, attr)] = group
-            outcomes[(row, attr)] = CellOutcome(  # placeholder, replaced below
-                row, attr, ABSTAINED, reason="pending", alternatives=alternatives
-            )
+            plans[(row, attr)] = (group, alternatives)
 
     needed_pairs: list[tuple[str, str]] = []
-    for cell, group in plans.items():
+    for (_, attr), (group, _) in plans.items():
         for source in group.graph.source_attrs:
-            pair = (source, cell[1])
+            pair = (source, attr)
             if pair not in needed_pairs:
                 needed_pairs.append(pair)
     needed_pairs.sort()
@@ -361,26 +332,17 @@ def impute(
                 internal_table, attr, config.dictionaries.get(attr)
             )
 
-    cells = sorted(plans)
-
-    def run_cell(cell: tuple[int, str]) -> CellOutcome:
-        return _extract_cell(
-            cell, plans[cell], internal_table, provider, config,
+    fills = []
+    for cell in sorted(plans):
+        group, alternatives = plans[cell]
+        outcome = _extract_cell(
+            cell, group, alternatives, internal_table, provider, config,
             mined, dictionaries[cell[1]],
         )
-
-    if config.max_concurrent_queries > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=config.max_concurrent_queries) as pool:
-            results = list(pool.map(run_cell, cells))
-    else:
-        results = [run_cell(cell) for cell in cells]
-
-    for cell, outcome in zip(cells, results):
-        outcome.alternatives = outcomes[cell].alternatives
         outcomes[cell] = outcome
-    final = internal_table.with_cells(
-        (o.row, o.attr, o.value) for o in results if o.value is not None
-    )
+        if outcome.value is not None:
+            fills.append((outcome.row, outcome.attr, outcome.value))
+    final = internal_table.with_cells(fills)
 
     if config.reiterate:
         refilled, extra_decisions = impute_internal(
@@ -405,7 +367,7 @@ def impute(
         initial_missing=len(initial_missing),
         outcomes=ordered,
         internal_decisions=decisions,
-        config=config.to_dict(),
+        config=asdict(config),
         timings={
             "internal_s": t_internal - t_start,
             "web_s": t_end - t_internal,

@@ -84,11 +84,11 @@ class LocalCorpusProvider:
     (corpus, query), and growing the page budget only extends the list.
 
     The first query tokenises the corpus into a token -> document inverted
-    index (built once, under a lock, since one provider serves every query
-    thread).  A keyword's matching documents are then its token's posting
-    list, or, for a multi-token keyword, the documents on its rarest token's
-    posting list that contain the whole sequence; each keyword's match set
-    is memoised.
+    index (built once, under a lock, since callers may share one provider
+    across threads).  A keyword's matching documents are then its token's
+    posting list, or, for a multi-token keyword, the documents on its rarest
+    token's posting list that contain the whole sequence; each keyword's
+    match set is memoised.
     """
 
     def __init__(self, docs: Iterable[tuple[str, str]], page_size: int = PAGE_SIZE):
@@ -157,6 +157,8 @@ class HttpProvider:
     One request per page (an optional ``{page}`` placeholder receives the
     1-based page number); each stripped response page becomes one document.
     Intentionally engine-agnostic: no result parsing beyond tag stripping.
+    Consecutive requests, within a query or across queries, start at least
+    ``delay_ms`` after the previous one finished.
     """
 
     def __init__(
@@ -168,11 +170,16 @@ class HttpProvider:
     ):
         if "{query}" not in url_template:
             raise ValueError("url_template must contain a {query} placeholder")
+        if delay_ms < 0:
+            raise ValueError(f"delay_ms must be >= 0, got {delay_ms}")
+        if timeout_ms <= 0:
+            raise ValueError(f"timeout_ms must be > 0, got {timeout_ms}")
         self.url_template = url_template
         self.delay_ms = delay_ms
         self.user_agent = user_agent
         self.timeout_ms = timeout_ms
         self._lock = threading.Lock()
+        self._last_request: float | None = None  # monotonic end of the last GET
 
     def query(self, q: Query) -> list[Document]:
         encoded = urllib.parse.quote_plus(" ".join(q.keywords))
@@ -183,8 +190,10 @@ class HttpProvider:
             )
             request = urllib.request.Request(url, headers={"User-Agent": self.user_agent})
             with self._lock:
-                if page > 1 and self.delay_ms:
-                    time.sleep(self.delay_ms / 1000.0)
+                if self._last_request is not None:
+                    wait = self._last_request + self.delay_ms / 1000.0 - time.monotonic()
+                    if wait > 0:
+                        time.sleep(wait)
                 try:
                     with urllib.request.urlopen(
                         request, timeout=self.timeout_ms / 1000.0
@@ -192,6 +201,8 @@ class HttpProvider:
                         body = resp.read().decode("utf-8", errors="replace")
                 except (urllib.error.URLError, OSError, ValueError) as exc:
                     raise ProviderError(f"GET {url} failed: {exc}") from exc
+                finally:
+                    self._last_request = time.monotonic()
             rank = page - 1
             out.append(Document(url, strip_tags(body), rank, 1.0 / (1 + rank)))
         return out

@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
@@ -120,9 +120,6 @@ class MaskedCell:
     attr: str
     value: str
 
-    def to_dict(self) -> dict:
-        return {"row": self.row, "attr": self.attr, "value": self.value}
-
 
 def load_table(path: str | Path) -> Table:
     """Load a CSV file (UTF-8, header row) into a :class:`Table`.
@@ -172,7 +169,7 @@ def to_csv_text(table: Table) -> str:
 
 
 def write_ground_truth(entries: Sequence[MaskedCell], path: str | Path) -> None:
-    data = [e.to_dict() for e in entries]
+    data = [asdict(e) for e in entries]
     Path(path).write_text(
         json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
         encoding="utf-8",

@@ -143,6 +143,37 @@ def test_provider_from_config_file(tmp_path):
     assert no_provider == 1
 
 
+@pytest.mark.parametrize(
+    "provider, key",
+    [
+        ({"kind": "local"}, "corpus"),
+        ({"kind": "local", "corpus": 5}, "corpus"),
+        ("local", "provider"),
+        ({"kind": "http", "bogus": 1}, "bogus"),
+        ({"kind": "http", "url_template": "http://127.0.0.1:9/?q={query}",
+          "delay_ms": -1}, "delay_ms"),
+        ({"kind": "ftp"}, "ftp"),
+    ],
+    ids=["local-without-corpus", "local-corpus-not-a-path", "provider-not-a-mapping",
+         "http-unknown-key", "http-negative-delay", "unknown-kind"],
+)
+def test_bad_provider_config_is_usage_error(tmp_path, capsys, provider, key):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"provider": provider}), encoding="utf-8")
+    code = run(
+        "impute",
+        "--table", str(DATA / "nba.csv"),
+        "--rules", str(DATA / "nba.rules"),
+        "--config", str(config),
+        "--out", str(tmp_path / "out.csv"),
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and key in errors[0]
+
+
 def test_mask_impute_eval_round_trip(tmp_path, capsys):
     # build a complete table, mask it, impute from a made-to-match corpus,
     # then score the result

@@ -2,6 +2,7 @@ import http.server
 import random
 import sys
 import threading
+import time
 
 import pytest
 
@@ -152,34 +153,58 @@ class TestHttpProvider:
         with pytest.raises(ProviderError):
             provider.query(Query(("alpha",)))
 
-    def test_pages_fetched_and_tags_stripped(self):
-        class Handler(http.server.BaseHTTPRequestHandler):
-            def do_GET(self):
-                body = b"<html><body><p>alpha beta</p></body></html>"
-                self.send_response(200)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
+    def test_constructor_rejects_bad_delay_and_timeout(self):
+        template = "http://127.0.0.1:9/?q={query}"
+        with pytest.raises(ValueError, match="delay_ms"):
+            HttpProvider(template, delay_ms=-1)
+        for timeout_ms in (0, -5):
+            with pytest.raises(ValueError, match="timeout_ms"):
+                HttpProvider(template, timeout_ms=timeout_ms)
 
-            def log_message(self, *args):
-                pass
+    def test_pages_fetched_and_tags_stripped(self, http_server):
+        provider = HttpProvider(
+            f"http://127.0.0.1:{http_server}/?q={{query}}&p={{page}}", delay_ms=0
+        )
+        docs = provider.query(Query(("alpha",), pages=2))
+        assert len(docs) == 2
+        assert [d.rank for d in docs] == [0, 1]
+        assert docs[0].score >= docs[1].score
+        assert "alpha beta" in docs[0].text and "<p>" not in docs[0].text
+        assert "p=1" in docs[0].id and "p=2" in docs[1].id
 
-        server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            port = server.server_address[1]
-            provider = HttpProvider(
-                f"http://127.0.0.1:{port}/?q={{query}}&p={{page}}", delay_ms=0
-            )
-            docs = provider.query(Query(("alpha",), pages=2))
-            assert len(docs) == 2
-            assert [d.rank for d in docs] == [0, 1]
-            assert docs[0].score >= docs[1].score
-            assert "alpha beta" in docs[0].text and "<p>" not in docs[0].text
-            assert "p=1" in docs[0].id and "p=2" in docs[1].id
-        finally:
-            server.shutdown()
+    def test_delay_applies_between_queries(self, http_server):
+        provider = HttpProvider(f"http://127.0.0.1:{http_server}/?q={{query}}", delay_ms=150)
+        start = time.monotonic()
+        provider.query(Query(("alpha",)))
+        provider.query(Query(("beta",)))
+        assert time.monotonic() - start >= 0.15
+
+
+@pytest.fixture
+def http_server():
+    """A local HTTP server answering every GET with one small page; yields its port."""
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_GET(self):
+            body = b"<html><body><p>alpha beta</p></body></html>"
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server.server_address[1]
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
 
 
 def test_strip_tags_unescapes_entities():
