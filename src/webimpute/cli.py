@@ -3,13 +3,15 @@
 Exit codes: 0 success, 1 usage or configuration error, 2 data error.
 Partial web failures are recorded in the report and do not affect the exit
 code.  ``--config file.json`` supplies run settings (field names mirror
-RunConfig); explicit flags win over the file.
+RunConfig); explicit flags win over the file.  ``--log-level`` (before the
+subcommand) sets what the ``webimpute`` loggers print to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -66,6 +68,12 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="webimpute", description="web-assisted table imputation")
     parser.add_argument("--version", action="version", version=f"webimpute {__version__}")
+    parser.add_argument(
+        "--log-level",
+        choices=("debug", "info", "warning", "error"),
+        default="warning",
+        help="least severe log message printed to stderr (default: warning)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("impute", help="fill missing cells of a table")
@@ -115,10 +123,25 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _read_config_file(path: str) -> dict:
+    """The JSON object in a ``--config`` file; anything else is a usage error."""
+    try:
+        base = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # malformed JSON or not UTF-8
+        raise _UsageError(f"config file {path} is not valid JSON: {exc}") from None
+    if not isinstance(base, dict):
+        raise _UsageError(
+            f"config file {path} must hold a JSON object, got {type(base).__name__}"
+        )
+    if not isinstance(base.get("dictionaries", {}), dict):
+        raise _UsageError(
+            f"config file {path}: dictionaries must map attribute names to paths"
+        )
+    return base
+
+
 def _load_config(args) -> RunConfig:
-    base = {}
-    if getattr(args, "config", None):
-        base = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    base = _read_config_file(args.config) if getattr(args, "config", None) else {}
     overrides = {
         "bayes_threshold": args.k,
         "group_threshold": args.K,
@@ -287,8 +310,16 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    # One stderr handler on the package logger, removed on return, so that
+    # the root logger and any handlers a caller installed are left alone.
+    logger = logging.getLogger("webimpute")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s: %(name)s: %(message)s"))
+    saved_level = logger.level
     try:
         args = parser.parse_args(argv)
+        logger.setLevel(args.log_level.upper())
+        logger.addHandler(handler)
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -300,6 +331,9 @@ def main(argv: list[str] | None = None) -> int:
     except (TableError, RuleParseError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(saved_level)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -9,17 +9,29 @@ must be satisfiable or the expansion dies.  Condition nodes are satisfied
 only when the tuple matches the literal.
 
 A subgraph's weight is the product of the confidences of its distinct
-dependency edges.  The best graph (maximum weight; ties prefer fewer nodes,
-then the lexicographically smallest attribute set) is rendered into an
-ordered keyword list - source cell values in breadth-first discovery order,
-then condition literals, then the sink attribute name - and is only emitted
-when its weight reaches the group threshold.
+dependency edges.  Subgraphs rank by maximum weight; ties prefer fewer nodes,
+then the lexicographically smallest attribute set.  A cell can have
+exponentially many subgraphs (``fanout ** depth`` on a rule chain) but only
+the best few are wanted, so they are found by a depth-first branch and bound
+over the AND-OR expansion, a bounded relative of AO* search (Martelli &
+Montanari 1973, Nilsson 1980), instead of by listing them all.  Confidences
+are at most 1, so the weight product of a partial subgraph bounds every
+completion's weight from above; the attributes that every / some expansion
+of each pending attribute adds bound a completion's node count and attribute
+set from below.
+
+The best graph is rendered into an ordered keyword list - source cell values
+in breadth-first discovery order, then condition literals, then the sink
+attribute name - and is only emitted when its weight reaches the group
+threshold.
 """
 
 from __future__ import annotations
 
+from bisect import insort
+from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import product
+from operator import attrgetter
 
 from .bayes import ABSTAIN
 from .depgraph import DependencyGraph, RuleApplication
@@ -46,21 +58,33 @@ class SinkGraph:
     @property
     def attrs(self) -> tuple[str, ...]:
         """All attribute labels in the subgraph, sorted."""
-        labels = {self.sink}
-        for _, app in self.applications:
-            labels.update(app.determinants)
-        return tuple(sorted(labels))
+        return self.rank[2]
 
     def node_count(self) -> int:
-        attrs = {self.sink}
-        logic = 0
-        conditions = set()
-        for _, app in self.applications:
-            attrs.update(app.determinants)
-            if len(app.determinants) + len(app.conditions) >= 2:
-                logic += 1
-            conditions.update(app.conditions)
-        return len(attrs) + logic + len(conditions)
+        """Attribute, logic and condition nodes in the subgraph."""
+        return self.rank[1]
+
+    @property
+    def rank(self) -> tuple[float, int, tuple[str, ...]]:
+        """Sort key: heaviest first, then fewest nodes, then smallest attributes.
+
+        Computed once per graph, since the search, ``select_optimal`` and the
+        pipeline's alternatives all read it.
+        """
+        rank = self.__dict__.get("_rank")
+        if rank is None:
+            labels = {self.sink}
+            logic = 0
+            conditions = set()
+            for _, app in self.applications:
+                labels.update(app.determinants)
+                if len(app.determinants) + len(app.conditions) >= 2:
+                    logic += 1
+                conditions.update(app.conditions)
+            nodes = len(labels) + logic + len(conditions)
+            rank = (-self.weight, nodes, tuple(sorted(labels)))
+            self.__dict__["_rank"] = rank  # a cache, not a field: skips the frozen guard
+        return rank
 
 
 @dataclass(frozen=True)
@@ -68,6 +92,10 @@ class KeywordGroup:
     graph: SinkGraph
     keywords: tuple[str, ...]
     weight: float
+
+
+_RANK = attrgetter("rank")
+_Option = tuple[RuleApplication, list[str]]  # an application and its missing determinants
 
 
 def _app_feasible(table: Table, row: int, app: RuleApplication) -> bool:
@@ -79,66 +107,166 @@ def enumerate_single_sink_graphs(
     table: Table,
     row: int,
     sink: str,
+    *,
+    limit: int = 8,
 ) -> list[SinkGraph]:
-    """Every feasible single-sink subgraph for ``(row, sink)``.
+    """The ``limit`` best feasible single-sink subgraphs for ``(row, sink)``.
 
-    Exhaustive: for each rule application into the sink, every combination
-    of expansions of its missing determinants is produced (one application
-    per derived attribute, cycles forbidden along a path).  Zero-weight
-    graphs are dropped.
+    A subgraph gives one rule application to the sink and to every missing
+    determinant it reaches (one application per derived attribute, cycles
+    forbidden along a path).  Zero-weight subgraphs are dropped.  The result
+    is sorted by ``(-weight, node_count(), attrs)``; full ties keep
+    enumeration order, in which derived attributes are expanded depth first
+    and each tries its feasible applications in declaration order.  It is
+    exactly the first ``limit`` entries of that sorted enumeration.
+
+    Branch and bound: a branch is cut once ``limit`` graphs are held and no
+    completion of it can rank ahead of the last one held.  Edge weights lie in
+    [0, 1], so the weight product so far, multiplied in the order the final
+    weight is, bounds every completion's weight from above; a completion that
+    ties the last held graph on the whole key comes later and loses the tie.
     """
     if table.cell(row, sink) is not MISSING:
         raise ValueError(f"cell (row {row}, {sink}) is not missing")
+    if limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
 
-    memo: dict[tuple[str, frozenset[str]], list[dict[str, RuleApplication]]] = {}
+    options: dict[str, list[_Option]] = {}
 
-    def expansions(attr: str, path: frozenset[str]) -> list[dict[str, RuleApplication]]:
-        """All ways to derive ``attr``; each is a map target -> application."""
-        key = (attr, path)
-        if key in memo:
-            return memo[key]
-        result: list[dict[str, RuleApplication]] = []
-        for app in graph.applications_into(attr):
-            if not _app_feasible(table, row, app):
+    def usable(attr: str) -> list[_Option]:
+        """Feasible applications into ``attr``, each with its missing determinants."""
+        found = options.get(attr)
+        if found is None:
+            found = []
+            for app in graph.applications_into(attr):
+                if not 0.0 <= app.weight <= 1.0:
+                    raise ValueError(
+                        f"rule {app.rule_id}: edge weight into {attr} must be in "
+                        f"[0, 1], got {app.weight}"
+                    )
+                if _app_feasible(table, row, app):
+                    missing = []
+                    for det in app.determinants:
+                        if table.cell(row, det) is MISSING:
+                            missing.append(det)
+                    found.append((app, missing))
+            options[attr] = found
+        return found
+
+    chosen: dict[str, RuleApplication] = {}  # target -> app, in depth-first preorder
+    expands: dict[str, list[str]] = {}  # target -> its app's missing determinants
+    ranked: list[SinkGraph] = []  # the best ``limit`` so far, in rank order
+    closures: dict = {}  # built only once a branch needs bounding
+
+    def visit(todo, weight: float) -> None:
+        """Expand the pending ``((attr, path), rest)`` items of ``todo``."""
+        # An attribute already derived takes its application again, in this
+        # frame: only a new choice recurses, so the depth is the number of
+        # derived attributes and not the number of paths reaching them.
+        while todo is not None:
+            (attr, path), rest = todo
+            fixed = chosen.get(attr)
+            if fixed is None:
+                break
+            if not path.isdisjoint(fixed.determinants):
+                return
+            todo = _push(rest, attr, path, expands[attr])
+        if todo is None:
+            g = _finalize(table, row, sink, chosen)  # its weight is ``weight`` > 0
+            insort(ranked, g, key=_RANK)
+            del ranked[limit:]
+            return
+        for app, missing in usable(attr):
+            if not path.isdisjoint(app.determinants):
                 continue
-            if any(d in path for d in app.determinants):
+            w = weight * app.weight
+            if w == 0.0:
                 continue
-            branch_options: list[list[dict[str, RuleApplication]]] = []
-            feasible = True
-            for det in app.determinants:
-                if table.cell(row, det) is not MISSING:
-                    continue  # a source; nothing to expand
-                subs = expansions(det, path | {attr})
-                if not subs:
-                    feasible = False
+            chosen[attr] = app
+            expands[attr] = missing
+            child = _push(rest, attr, path, missing)
+            if len(ranked) < limit or not _beaten(
+                ranked[-1].rank, w, sink, chosen, child, usable, closures
+            ):
+                visit(child, w)
+            del chosen[attr]
+
+    visit(((sink, frozenset({sink})), None), 1.0)
+    return ranked
+
+
+def _push(todo, attr: str, path: frozenset[str], missing: list[str]):
+    """``todo`` with ``attr``'s missing determinants in front, in order."""
+    if missing:
+        child_path = path | {attr}
+        for det in reversed(missing):
+            todo = ((det, child_path), todo)
+    return todo
+
+
+def _beaten(
+    worst: tuple,
+    weight: float,
+    sink: str,
+    chosen: dict[str, RuleApplication],
+    todo,
+    usable: Callable[[str], list[_Option]],
+    closures: dict,
+) -> bool:
+    """Whether every completion of a branch ranks at or after ``worst``.
+
+    ``weight`` is the branch's weight so far, ``chosen`` its applications and
+    ``todo`` its pending ``(attr, path)`` items.
+    """
+    if -weight != worst[0]:
+        return -weight > worst[0]
+    # the branch so far as a subgraph, for its attributes and node count
+    partial = SinkGraph(sink, -1, (), (), tuple(chosen.items()), weight, (), ())
+    _, nodes, attrs = partial.rank
+    labels = set(attrs)
+    extra_nodes = nodes - len(labels)  # logic and condition nodes
+    reachable: set[str] = set()
+    while todo is not None:
+        (attr, path), todo = todo
+        sets = _closure(attr, path, usable, closures)
+        if sets is None:
+            return True  # a pending attribute cannot be derived
+        labels |= sets[0]
+        reachable |= sets[1]
+    # Every completion holds ``labels`` and nothing outside ``reachable``, so
+    # its sorted attributes are at least ``bound``.
+    top = max(labels)
+    bound = tuple(sorted(labels.union(u for u in reachable if u < top)))
+    return (len(labels) + extra_nodes, bound) >= worst[1:]
+
+
+def _closure(
+    attr: str, path: frozenset[str], usable: Callable[[str], list[_Option]], memo: dict
+) -> tuple[set[str], set[str]] | None:
+    """Attributes that every / some expansion of ``attr`` adds, or None.
+
+    Cross-branch consistency is ignored, so the first set can only be too
+    small and the second too large; None means ``attr`` has no expansion.
+    """
+    key = (attr, path)
+    if key not in memo:
+        must = may = None
+        child_path = path | {attr}
+        for app, missing in usable(attr):
+            if not path.isdisjoint(app.determinants):
+                continue
+            app_must, app_may = set(app.determinants), set(app.determinants)
+            for det in missing:
+                sub = _closure(det, child_path, usable, memo)
+                if sub is None:
                     break
-                branch_options.append(subs)
-            if not feasible:
-                continue
-            for combo in product(*branch_options):
-                merged: dict[str, RuleApplication] = {attr: app}
-                consistent = True
-                for sub in combo:
-                    for target, sub_app in sub.items():
-                        existing = merged.get(target)
-                        if existing is not None and existing is not sub_app:
-                            consistent = False
-                            break
-                        merged[target] = sub_app
-                    if not consistent:
-                        break
-                if consistent:
-                    result.append(merged)
-        memo[key] = result
-        return result
-
-    graphs = []
-    for apps in expansions(sink, frozenset({sink})):
-        g = _finalize(table, row, sink, apps)
-        if g.weight > 0.0:
-            graphs.append(g)
-    graphs.sort(key=lambda g: (-g.weight, g.node_count(), g.attrs))
-    return graphs
+                app_must |= sub[0]
+                app_may |= sub[1]
+            else:
+                must = app_must if must is None else must & app_must
+                may = app_may if may is None else may | app_may
+        memo[key] = None if must is None else (must, may)
+    return memo[key]
 
 
 def _finalize(
@@ -164,13 +292,9 @@ def _finalize(
                 queue.append(det)
         for _, literal in app.conditions:
             literals.append(literal)
-    edge_weights = {
-        (app.rule_id, "+".join(app.determinants), target): app.weight
-        for target, app in apps.items()
-    }
     weight = 1.0
-    for w in edge_weights.values():
-        weight *= w
+    for app in apps.values():  # one edge per derived attribute, in insertion
+        weight *= app.weight  # order: the search's weight bound relies on it
     ordered_apps = tuple(sorted(apps.items()))
     return SinkGraph(
         sink=sink,
@@ -205,7 +329,7 @@ def select_optimal(graphs: list[SinkGraph], K: float) -> KeywordGroup | None:
         raise ValueError(f"group threshold must be in [0,1], got {K}")
     if not graphs:
         return ABSTAIN
-    best = min(graphs, key=lambda g: (-g.weight, g.node_count(), g.attrs))
+    best = min(graphs, key=_RANK)
     if best.weight < K:
         return ABSTAIN
     return KeywordGroup(best, tuple(render_keywords(best)), best.weight)

@@ -303,11 +303,10 @@ def impute(
     for row, attr in initial_missing:
         if (row, attr) in outcomes:
             continue
+        # the best 8 subgraphs: the first is the plan, all are its alternatives
         graphs = enumerate_single_sink_graphs(graph, internal_table, row, attr)
         group = select_optimal(graphs, config.group_threshold)
-        alternatives = [
-            {"weight": g.weight, "attrs": list(g.attrs)} for g in graphs[:8]
-        ]
+        alternatives = [{"weight": g.weight, "attrs": list(g.attrs)} for g in graphs]
         if group is None:
             reason = "below K" if graphs else "no feasible keyword group"
             outcomes[(row, attr)] = CellOutcome(

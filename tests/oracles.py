@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's internal machinery: frequencies are
 counted with plain loops, the best evidence subgraph is found by
-enumerating every assignment of rules to missing attributes, and retrieval
+enumerating every assignment of rules to missing attributes, the ranked
+subgraph list comes from listing every feasible subgraph, and retrieval
 scans every document for every keyword.  They exist so the real
 implementations can be checked against something that cannot share their
 bugs.
@@ -14,6 +15,7 @@ import itertools
 import random
 
 from webimpute import Document, Query, Rule, RuleSet, Table
+from webimpute.keywords import SinkGraph
 from webimpute.tabular import MISSING
 from webimpute.textutil import tokenize
 
@@ -193,6 +195,111 @@ def best_weight_oracle(table: Table, ruleset: RuleSet, row: int, sink: str):
     return best
 
 
+def sink_graphs_oracle(graph, table: Table, row: int, sink: str):
+    """Every feasible single-sink subgraph for ``(row, sink)``, best first.
+
+    Exhaustive: for each rule application into the sink, every combination
+    of expansions of its missing determinants is produced (one application
+    per derived attribute, cycles forbidden along a path).  Zero-weight
+    graphs are dropped; the stable sort keeps full ties in enumeration order.
+    """
+    if table.cell(row, sink) is not MISSING:
+        raise ValueError(f"cell (row {row}, {sink}) is not missing")
+
+    memo = {}
+
+    def expansions(attr, path):
+        """All ways to derive ``attr``; each is a map target -> application."""
+        key = (attr, path)
+        if key in memo:
+            return memo[key]
+        result = []
+        for app in graph.applications_into(attr):
+            if any(table.cell(row, a) != lit for a, lit in app.conditions):
+                continue
+            if any(d in path for d in app.determinants):
+                continue
+            branch_options = []
+            feasible = True
+            for det in app.determinants:
+                if table.cell(row, det) is not MISSING:
+                    continue  # a source; nothing to expand
+                subs = expansions(det, path | {attr})
+                if not subs:
+                    feasible = False
+                    break
+                branch_options.append(subs)
+            if not feasible:
+                continue
+            for combo in itertools.product(*branch_options):
+                merged = {attr: app}
+                consistent = True
+                for sub in combo:
+                    for target, sub_app in sub.items():
+                        existing = merged.get(target)
+                        if existing is not None and existing is not sub_app:
+                            consistent = False
+                            break
+                        merged[target] = sub_app
+                    if not consistent:
+                        break
+                if consistent:
+                    result.append(merged)
+        memo[key] = result
+        return result
+
+    graphs = []
+    for apps in expansions(sink, frozenset({sink})):
+        g = _sink_graph(table, row, sink, apps)
+        if g.weight > 0.0:
+            graphs.append(g)
+    graphs.sort(key=_sink_graph_key)
+    return graphs
+
+
+def _sink_graph_key(g: SinkGraph):
+    """Heaviest first, then fewest attribute/logic/condition nodes, then the
+    smallest sorted attribute tuple; counted here, not by ``SinkGraph``."""
+    labels, logic, conditions = {g.sink}, 0, set()
+    for _, app in g.applications:
+        labels.update(app.determinants)
+        logic += len(app.determinants) + len(app.conditions) >= 2
+        conditions.update(app.conditions)
+    return (-g.weight, len(labels) + logic + len(conditions), tuple(sorted(labels)))
+
+
+def _sink_graph(table: Table, row: int, sink: str, apps) -> SinkGraph:
+    """The subgraph choosing ``apps``: sources and literals in BFS order."""
+    sources, literals = [], []
+    queue, seen = [sink], {sink}
+    while queue:
+        app = apps.get(queue.pop(0))
+        if app is None:
+            continue
+        for det in app.determinants:
+            if det not in seen:
+                seen.add(det)
+                (sources if table.cell(row, det) is not MISSING else queue).append(det)
+        literals.extend(literal for _, literal in app.conditions)
+    edge_weights = {
+        (app.rule_id, "+".join(app.determinants), target): app.weight
+        for target, app in apps.items()
+    }
+    weight = 1.0
+    for w in edge_weights.values():
+        weight *= w
+    return SinkGraph(
+        sink,
+        row,
+        tuple(table.rows[row]),
+        tuple(table.columns),
+        tuple(sorted(apps.items())),
+        weight,
+        tuple(sources),
+        tuple(literals),
+    )
+
+
 def random_bayes_case(rng: random.Random):
     """A small complete table, rules, one masked cell, and a threshold."""
     n_attrs = rng.randint(2, 4)
@@ -250,3 +357,42 @@ def random_sink_case(rng: random.Random):
     missing = [a for a in attrs if table.cell(0, a) is MISSING]
     sink = rng.choice(missing)
     return table, ruleset, sink
+
+
+def random_ranked_sink_case(rng: random.Random):
+    """A one-row table and a rule set rich in ranking ties, with a sink.
+
+    Rules are duplicated under new ids (interchangeable applications),
+    confidences come from {0.5, 0.8, 1.0}, right-hand sides have one or two
+    attributes and conditions zero to two literals; random determinants make
+    DAG overlaps and cycles.
+    """
+    attrs = ["A", "B", "C", "D", "E", "F", "G"][: rng.randint(4, 7)]
+    columns = attrs + ["X", "Y"]  # X and Y only carry condition literals
+    row = [f"v{a}" if rng.random() < 0.5 else MISSING for a in attrs]
+    row += ["on", "x"]
+    if all(v is not MISSING for v in row[: len(attrs)]):
+        row[rng.randrange(len(attrs))] = MISSING
+    table = Table("case", columns, [row])
+    missing = [a for a in attrs if table.cell(0, a) is MISSING]
+    sink = rng.choice(missing)
+
+    rules = []
+    for i in range(rng.randint(4, 14)):
+        if rules and rng.random() < 0.25:
+            base = rng.choice(rules)
+            rules.append(
+                Rule(f"r{i}", base.condition, base.lhs, base.rhs, base.declared_confidence)
+            )
+            continue
+        rhs = tuple(rng.sample(attrs, rng.choice([1, 1, 2])))
+        if not rules and sink not in rhs:
+            rhs = (sink,) + rhs[1:]  # at least one application into the sink
+        others = [a for a in attrs if a not in rhs]
+        lhs = tuple(rng.sample(others, rng.randint(1, min(2, len(others)))))
+        condition = tuple(  # a literal the row fails one time in four
+            (c, table.cell(0, c) if rng.random() < 0.75 else "other")
+            for c in ["X", "Y"][: rng.choice([0, 0, 1, 2])]
+        )
+        rules.append(Rule(f"r{i}", condition, lhs, rhs, rng.choice([0.5, 0.8, 1.0])))
+    return table, RuleSet.estimate(rules, table), sink

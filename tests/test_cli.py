@@ -1,4 +1,6 @@
 import json
+import logging
+import re
 from pathlib import Path
 
 import pytest
@@ -172,6 +174,68 @@ def test_bad_provider_config_is_usage_error(tmp_path, capsys, provider, key):
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and key in errors[0]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['[1, 2]', '5', '{"pages": ', '{"dictionaries": ["City"]}', '{"dictionaries": 5}'],
+    ids=["list", "number", "malformed", "dictionaries-list", "dictionaries-number"],
+)
+def test_bad_config_file_is_usage_error(tmp_path, capsys, text):
+    config = tmp_path / "cfg.json"
+    config.write_text(text, encoding="utf-8")
+    code = run(
+        "impute",
+        "--table", str(DATA / "nba.csv"),
+        "--rules", str(DATA / "nba.rules"),
+        "--corpus", str(DATA / "nba_corpus.jsonl"),
+        "--config", str(config),
+        "--out", str(tmp_path / "out.csv"),
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and str(config) in errors[0]
+
+
+def test_missing_config_file_is_data_error(tmp_path):
+    code = run(
+        "impute",
+        "--table", str(DATA / "nba.csv"),
+        "--rules", str(DATA / "nba.rules"),
+        "--corpus", str(DATA / "nba_corpus.jsonl"),
+        "--config", str(tmp_path / "absent.json"),
+        "--out", str(tmp_path / "out.csv"),
+    )
+    assert code == 2
+
+
+def test_log_level_controls_stderr(tmp_path, capsys):
+    cache = tmp_path / "patterns.json"
+    args = [
+        "impute",
+        "--table", str(DATA / "nba.csv"),
+        "--rules", str(DATA / "nba.rules"),
+        "--corpus", str(DATA / "nba_corpus.jsonl"),
+        "--Q", "2", "--patterns", str(cache),
+        "--out", str(tmp_path / "out.csv"),
+    ]
+    package_logger, root = logging.getLogger("webimpute"), logging.getLogger()
+    handlers, root_handlers = list(package_logger.handlers), list(root.handlers)
+    assert run(*args) == 0  # writes the cache
+    assert cache.exists()
+    assert run(*args) == 0  # default level: info is not printed
+    assert "cached pattern pairs" not in capsys.readouterr().err
+
+    assert run("--log-level", "info", *args) == 0
+    err = capsys.readouterr().err
+    assert re.search(r"loaded \d+ cached pattern pairs", err)
+    assert package_logger.handlers == handlers  # the handler goes when main returns
+    assert root.handlers == root_handlers
+
+    assert run("--log-level", "loud", *args) == 1
+    assert "--log-level" in capsys.readouterr().err
 
 
 def test_mask_impute_eval_round_trip(tmp_path, capsys):

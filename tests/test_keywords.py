@@ -3,7 +3,12 @@ import time
 
 import pytest
 
-from oracles import best_weight_oracle, random_sink_case
+from oracles import (
+    best_weight_oracle,
+    random_ranked_sink_case,
+    random_sink_case,
+    sink_graphs_oracle,
+)
 from webimpute import (
     MISSING,
     RuleSet,
@@ -178,3 +183,94 @@ def test_chain_selection_scales_roughly_linearly():
 
     small, big = measure(12), measure(120)
     assert big < 60 * max(small, 1e-4)
+
+
+def test_search_matches_exhaustive_ranking_on_random_graphs():
+    rng = random.Random(8080)
+    for case in range(2000):
+        table, ruleset, sink = random_ranked_sink_case(rng)
+        graph = build_dependency_graph(ruleset)
+        ranked = sink_graphs_oracle(graph, table, 0, sink)
+        for n in (1, 2, 8):
+            got = enumerate_single_sink_graphs(graph, table, 0, sink, limit=n)
+            assert got == ranked[:n], (case, n)
+
+
+def test_deep_chain_returns_first_eight_in_enumeration_order():
+    # 12 levels, each derivable from the one above by 3 rules at confidence
+    # 1.0: 3**12 = 531,441 subgraphs for the last level, all tied on the key
+    depth = 12
+    columns = ["Key"] + [f"L{i}" for i in range(1, depth + 1)]
+    table = make_table(columns, [["k"] + [MISSING] * depth])
+    text = "\n".join(
+        f"c{i}{x}: {columns[i - 1]} -> L{i} @ 1.0"
+        for i in range(1, depth + 1)
+        for x in "abc"
+    )
+    ruleset, graph = setup_graph(text, table)
+    graphs = enumerate_single_sink_graphs(graph, table, 0, f"L{depth}")
+    assert [g.weight for g in graphs] == [1.0] * 8
+    # enumeration varies the level nearest the source fastest
+    expected = [(l2, l1) for l2 in "abc" for l1 in "abc"][:8]
+    for g, (l2, l1) in zip(graphs, expected):
+        rules = {target: app.rule_id for target, app in g.applications}
+        assert rules == {
+            **{f"L{i}": f"c{i}a" for i in range(3, depth + 1)},
+            "L2": f"c2{l2}",
+            "L1": f"c1{l1}",
+        }
+    assert enumerate_single_sink_graphs(graph, table, 0, f"L{depth}", limit=1) == graphs[:1]
+
+
+def test_ladder_search_matches_exhaustive_ranking():
+    # L_i and M_i are each derived from L_{i-1} and M_{i-1}, so 2**i paths
+    # reach level 10 - i; the search must not recurse once per path
+    depth = 10
+    columns = ["Key"] + [f"{x}{i}" for i in range(1, depth + 1) for x in "LM"]
+    table = make_table(columns, [["k"] + [MISSING] * (2 * depth)])
+    lines = ["la: Key -> L1 @ 0.8", "lb: Key -> L1 @ 1.0"]
+    lines += ["ma: Key -> M1 @ 1.0", "mb: Key -> M1 @ 0.5"]
+    lines += [
+        f"{x.lower()}{i}: L{i - 1}, M{i - 1} -> {x}{i} @ 1.0"
+        for i in range(2, depth + 1)
+        for x in "LM"
+    ]
+    ruleset, graph = setup_graph("\n".join(lines), table)
+    ranked = sink_graphs_oracle(graph, table, 0, f"L{depth}")
+    assert [g.weight for g in ranked] == [1.0, 0.8, 0.5, 0.4]
+    for n in (1, 2, 8):
+        assert enumerate_single_sink_graphs(graph, table, 0, f"L{depth}", limit=n) == ranked[:n]
+
+
+def test_attribute_bound_ignores_reachable_attributes_above_the_mandatory():
+    # With B <- r2 chosen, A may still add C or D; D sorts after every
+    # mandatory attribute, so it must not enter the bound, or the r2 branch
+    # would be cut although its (A, B, C) ranks ahead of (A, B, C, D).
+    table = make_table(
+        ["A", "B", "C", "D", "X", "Y"], [[MISSING, MISSING, "c1", "d1", "on", "x"]]
+    )
+    ruleset, graph = setup_graph(
+        "r0: [X=on], D, A -> B @ 1.0\n"
+        "r2: [X=on, Y=x], A, C -> B @ 1.0\n"
+        "r4: D -> A @ 1.0\n"
+        "r6: C -> A @ 1.0",
+        table,
+    )
+    ranked = sink_graphs_oracle(graph, table, 0, "B")
+    assert [g.attrs for g in ranked[:2]] == [("A", "B", "D"), ("A", "B", "C")]
+    for n in (1, 2, 3):
+        assert enumerate_single_sink_graphs(graph, table, 0, "B", limit=n) == ranked[:n]
+
+
+def test_limit_must_be_positive(nba_graph, nba_after_internal):
+    with pytest.raises(ValueError):
+        enumerate_single_sink_graphs(nba_graph, nba_after_internal, 4, "Location", limit=0)
+
+
+def test_edge_weight_above_one_rejected():
+    # the weight bound needs every confidence in [0, 1]
+    table = make_table(["A", "B"], [["a1", MISSING]])
+    rules = parse_rules("r: A -> B")
+    graph = build_dependency_graph(RuleSet(rules, {("r", "B"): 1.5}))
+    with pytest.raises(ValueError, match="edge weight"):
+        enumerate_single_sink_graphs(graph, table, 0, "B")
