@@ -199,7 +199,7 @@ def impute_internal(
     """
     if not 0.0 <= k <= 1.0:
         raise ValueError(f"threshold must be in [0,1], got {k}")
-    current = table.copy()
+    current = table
     remaining = list(table.missing_cells())
     fill_decisions: list[BayesDecision] = []
     abstains: dict[tuple[int, str], BayesDecision] = {}
@@ -216,7 +216,7 @@ def impute_internal(
             if not apps:
                 sweep.append(BayesDecision(row, attr, None, [], ABSTAIN, k))
                 continue
-            best_app = sorted(apps, key=lambda a: (-a.weight, a.rule_id))[0]
+            best_app = min(apps, key=lambda a: (-a.weight, a.rule_id))
             rule = ruleset.rule(best_app.rule_id)
             sweep.append(_decide_cell(current, row, attr, best_app, rule, k, cache))
         abstains = {(d.row, d.attr): d for d in sweep if d.chosen is None}

@@ -1,10 +1,11 @@
 """Command-line interface: impute, mine-patterns, mask, eval, sweep, sdg.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 data error.
-Partial web failures are recorded in the report and do not affect the exit
-code.  ``--config file.json`` supplies run settings (field names mirror
-RunConfig); explicit flags win over the file.  ``--log-level`` (before the
-subcommand) sets what the ``webimpute`` loggers print to stderr.
+Exit codes: 0 success, 1 usage or configuration error (a ``mine-patterns``
+count below 1 too), 2 data error.  Partial web failures are recorded in the
+report and do not affect the exit code.  ``--config file.json`` supplies run
+settings (field names mirror RunConfig); explicit flags win over the file.
+``--log-level`` (before the subcommand) sets what the ``webimpute`` loggers
+print to stderr.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ from .evalharness import evaluate, sweep
 from .patterns import mine_patterns, save_patterns
 from .pipeline import RunConfig, impute
 from .providers import HttpProvider, LocalCorpusProvider
-from .rules import RuleParseError, RuleSet, parse_rules_file
+from .rules import RuleSet, parse_rules_file
 from .tabular import (
     MaskSpec,
-    TableError,
     load_table,
     mask_random,
     read_ground_truth,
@@ -43,6 +43,17 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 instead of argparse's 2
         raise _UsageError(message)
+
+
+def _positive_int(text: str) -> int:
+    """An argparse ``type``: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -87,9 +98,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--table", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--pair", required=True, metavar="A1,A2")
-    p.add_argument("--min-support", type=int, required=True)
-    p.add_argument("--sample", type=int, default=5)
-    p.add_argument("--pages", type=int, default=5)
+    p.add_argument("--min-support", type=_positive_int, required=True)
+    p.add_argument("--sample", type=_positive_int, default=5)
+    p.add_argument("--pages", type=_positive_int, default=5)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("mask", help="mask a complete table for an experiment")
@@ -328,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing input file: {exc.filename or exc}", file=sys.stderr)
         return DATA_ERROR
-    except (TableError, RuleParseError, ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # TableError, RuleParseError, MiningError, bad JSON
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
     finally:

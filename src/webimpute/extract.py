@@ -140,14 +140,13 @@ def extract_by_keywords(
     if not dictionary.entries:
         log.warning("empty dictionary for %r: nothing to extract", dictionary.attr)
         return None
-    anchors = [kw for kw in keywords[:-1] if kw]
+    anchors = [(kw, seq) for kw in keywords[:-1] if (seq := tokenize(kw))]
     best: tuple[float, int, int, str] | None = None
     for doc in sorted(documents, key=lambda d: d.rank):
         tokens = tokenize(doc.text)
         positions = {}
-        for anchor in anchors:
-            seq = tokenize(anchor)
-            hits = find_token_seq(tokens, seq) if seq else []
+        for anchor, seq in anchors:
+            hits = find_token_seq(tokens, seq)
             if hits:
                 positions[anchor] = hits
         if not positions:

@@ -20,22 +20,22 @@ completion's weight from above; the attributes that every / some expansion
 of each pending attribute adds bound a completion's node count and attribute
 set from below.
 
-The best graph is rendered into an ordered keyword list - source cell values
-in breadth-first discovery order, then condition literals, then the sink
-attribute name - and is only emitted when its weight reaches the group
-threshold.
+The best graph is rendered into an ordered keyword list - the source values
+it recorded, in breadth-first discovery order, then condition literals, then
+the sink attribute name - and is only emitted when its weight reaches the
+group threshold.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .bayes import ABSTAIN
 from .depgraph import DependencyGraph, RuleApplication
-from .tabular import MISSING, Cell, Table
+from .tabular import MISSING, Table
 
 
 @dataclass(frozen=True)
@@ -43,48 +43,46 @@ class SinkGraph:
     """A feasible single-sink subgraph for one tuple.
 
     ``applications`` maps each derived attribute (the sink and every missing
-    intermediate) to the rule application supplying it.
+    intermediate) to the rule application supplying it.  ``source_values``
+    holds the tuple's cells of ``source_attrs``.  ``rank``, the sort key
+    ``(-weight, node count, attrs)``, is computed once per graph.
     """
 
     sink: str
-    row: int
-    row_values: tuple[Cell, ...]
-    columns: tuple[str, ...]
     applications: tuple[tuple[str, RuleApplication], ...]
     weight: float
     source_attrs: tuple[str, ...]
+    source_values: tuple[str, ...]
     condition_literals: tuple[str, ...]
+    rank: tuple[float, int, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        shape = _shape(self.sink, self.applications)
+        object.__setattr__(self, "rank", (-self.weight, *shape))
 
     @property
     def attrs(self) -> tuple[str, ...]:
         """All attribute labels in the subgraph, sorted."""
         return self.rank[2]
 
-    def node_count(self) -> int:
-        """Attribute, logic and condition nodes in the subgraph."""
-        return self.rank[1]
 
-    @property
-    def rank(self) -> tuple[float, int, tuple[str, ...]]:
-        """Sort key: heaviest first, then fewest nodes, then smallest attributes.
+def _shape(
+    sink: str, applications: Iterable[tuple[str, RuleApplication]]
+) -> tuple[int, tuple[str, ...]]:
+    """Node count and sorted attributes of the subgraph choosing ``applications``.
 
-        Computed once per graph, since the search, ``select_optimal`` and the
-        pipeline's alternatives all read it.
-        """
-        rank = self.__dict__.get("_rank")
-        if rank is None:
-            labels = {self.sink}
-            logic = 0
-            conditions = set()
-            for _, app in self.applications:
-                labels.update(app.determinants)
-                if len(app.determinants) + len(app.conditions) >= 2:
-                    logic += 1
-                conditions.update(app.conditions)
-            nodes = len(labels) + logic + len(conditions)
-            rank = (-self.weight, nodes, tuple(sorted(labels)))
-            self.__dict__["_rank"] = rank  # a cache, not a field: skips the frozen guard
-        return rank
+    Nodes are the attributes, one logic node per application with two or more
+    parents (determinants and condition literals), and the distinct conditions.
+    """
+    labels = {sink}
+    logic = 0
+    conditions = set()
+    for _, app in applications:
+        labels.update(app.determinants)
+        if len(app.determinants) + len(app.conditions) >= 2:
+            logic += 1
+        conditions.update(app.conditions)
+    return len(labels) + logic + len(conditions), tuple(sorted(labels))
 
 
 @dataclass(frozen=True)
@@ -115,7 +113,7 @@ def enumerate_single_sink_graphs(
     A subgraph gives one rule application to the sink and to every missing
     determinant it reaches (one application per derived attribute, cycles
     forbidden along a path).  Zero-weight subgraphs are dropped.  The result
-    is sorted by ``(-weight, node_count(), attrs)``; full ties keep
+    is sorted by ``SinkGraph.rank``; full ties keep
     enumeration order, in which derived attributes are expanded depth first
     and each tries its feasible applications in declaration order.  It is
     exactly the first ``limit`` entries of that sorted enumeration.
@@ -220,9 +218,7 @@ def _beaten(
     """
     if -weight != worst[0]:
         return -weight > worst[0]
-    # the branch so far as a subgraph, for its attributes and node count
-    partial = SinkGraph(sink, -1, (), (), tuple(chosen.items()), weight, (), ())
-    _, nodes, attrs = partial.rank
+    nodes, attrs = _shape(sink, chosen.items())  # of the branch so far
     labels = set(attrs)
     extra_nodes = nodes - len(labels)  # logic and condition nodes
     reachable: set[str] = set()
@@ -274,6 +270,7 @@ def _finalize(
 ) -> SinkGraph:
     """Fix discovery order by BFS from the sink and compute the weight."""
     sources: list[str] = []
+    values: list[str] = []
     literals: list[str] = []
     queue = [sink]
     seen = {sink}
@@ -286,36 +283,29 @@ def _finalize(
             if det in seen:
                 continue
             seen.add(det)
-            if table.cell(row, det) is not MISSING:
+            value = table.cell(row, det)
+            if value is not MISSING:
                 sources.append(det)
+                values.append(value)
             else:
                 queue.append(det)
-        for _, literal in app.conditions:
-            literals.append(literal)
+        literals.extend(literal for _, literal in app.conditions)
     weight = 1.0
     for app in apps.values():  # one edge per derived attribute, in insertion
         weight *= app.weight  # order: the search's weight bound relies on it
-    ordered_apps = tuple(sorted(apps.items()))
     return SinkGraph(
         sink=sink,
-        row=row,
-        row_values=tuple(table.rows[row]),
-        columns=tuple(table.columns),
-        applications=ordered_apps,
+        applications=tuple(sorted(apps.items())),
         weight=weight,
         source_attrs=tuple(sources),
+        source_values=tuple(values),
         condition_literals=tuple(literals),
     )
 
 
-def render_keywords(group: SinkGraph, row_values: tuple[Cell, ...] | None = None) -> list[str]:
+def render_keywords(graph: SinkGraph) -> list[str]:
     """Ordered keywords: source values, condition literals, sink attribute name."""
-    values = row_values if row_values is not None else group.row_values
-    index = {c: i for i, c in enumerate(group.columns)}
-    keywords = [values[index[a]] for a in group.source_attrs]
-    keywords.extend(group.condition_literals)
-    keywords.append(group.sink)
-    return keywords
+    return [*graph.source_values, *graph.condition_literals, graph.sink]
 
 
 def select_optimal(graphs: list[SinkGraph], K: float) -> KeywordGroup | None:

@@ -11,7 +11,8 @@ differently-phrased sentences.
 
 Qualifying contexts (support >= the threshold) are reduced to the maximal
 ones: a context contained in a longer qualifying context with the same
-anchoring is redundant and dropped.
+anchoring is redundant and dropped.  The threshold, the number of sampled
+tuples, the pages per query and ``max_gap`` must each be at least 1.
 
 Extraction runs the mirror image: find the known value in a document, find
 the context sitting against where the unknown value must be, and read the
@@ -134,8 +135,10 @@ def mine_patterns(
     Pair order matters: contexts are anchored to ``attr_pair[1]``, so mine
     with the attribute to be predicted second.
     """
-    if min_support < 1:
-        raise ValueError(f"min_support must be >= 1, got {min_support}")
+    counts = dict(min_support=min_support, sample=sample, pages=pages, max_gap=max_gap)
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     supports = context_supports(provider, table, attr_pair, sample, pages, max_gap)
     qualifying = [
         (ctx, direction, count)

@@ -315,13 +315,11 @@ def impute(
         else:
             plans[(row, attr)] = (group, alternatives)
 
-    needed_pairs: list[tuple[str, str]] = []
-    for (_, attr), (group, _) in plans.items():
-        for source in group.graph.source_attrs:
-            pair = (source, attr)
-            if pair not in needed_pairs:
-                needed_pairs.append(pair)
-    needed_pairs.sort()
+    needed_pairs = sorted({
+        (source, attr)
+        for (_, attr), (group, _) in plans.items()
+        for source in group.graph.source_attrs
+    })
     mined = _mine_needed_patterns(needed_pairs, internal_table, provider, config)
 
     dictionaries: dict[str, Dictionary] = {}

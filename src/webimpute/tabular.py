@@ -88,9 +88,6 @@ class Table:
                 if value is MISSING:
                     yield r, c
 
-    def copy(self) -> "Table":
-        return Table(self.name, list(self.columns), [list(r) for r in self.rows])
-
     def __len__(self) -> int:
         return len(self.rows)
 

@@ -290,12 +290,10 @@ def _sink_graph(table: Table, row: int, sink: str, apps) -> SinkGraph:
         weight *= w
     return SinkGraph(
         sink,
-        row,
-        tuple(table.rows[row]),
-        tuple(table.columns),
         tuple(sorted(apps.items())),
         weight,
         tuple(sources),
+        tuple(table.cell(row, a) for a in sources),
         tuple(literals),
     )
 

@@ -361,3 +361,24 @@ def test_mine_patterns_command(tmp_path):
         "--corpus", str(DATA / "films_corpus.jsonl"),
         "--pair", "FilmDirector", "--min-support", "2", "--out", str(out),
     ) == 1
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--min-support", "0"), ("--sample", "0"), ("--sample", "-3"), ("--pages", "0")],
+)
+def test_mine_patterns_count_flags_are_usage_errors(tmp_path, capsys, flag, value):
+    # the table does not exist: a usage error is raised before any file is
+    # read; a repeated flag takes its last value
+    out = tmp_path / "patterns.json"
+    code = run(
+        "mine-patterns",
+        "--table", str(tmp_path / "absent.csv"),
+        "--corpus", str(DATA / "films_corpus.jsonl"),
+        "--pair", "Film,Director",
+        "--min-support", "2", flag, value,
+        "--out", str(out),
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert flag in err and not out.exists()

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from oracles import (
+    _sink_graph_key,
     best_weight_oracle,
     random_ranked_sink_case,
     random_sink_case,
@@ -194,6 +195,10 @@ def test_search_matches_exhaustive_ranking_on_random_graphs():
         for n in (1, 2, 8):
             got = enumerate_single_sink_graphs(graph, table, 0, sink, limit=n)
             assert got == ranked[:n], (case, n)
+            for g in got:
+                assert g.rank == _sink_graph_key(g), (case, n)
+                sources = [table.cell(0, a) for a in g.source_attrs]
+                assert render_keywords(g) == [*sources, *g.condition_literals, sink]
 
 
 def test_deep_chain_returns_first_eight_in_enumeration_order():

@@ -122,10 +122,15 @@ class TestMine:
             high = {c for c, n in supports.items() if n >= q2}
             assert high <= low
 
-    def test_min_support_validated(self, principal_fixture):
+    @pytest.mark.parametrize(
+        "name, value",
+        [("min_support", 0), ("sample", 0), ("sample", -3), ("pages", 0), ("max_gap", 0)],
+    )
+    def test_min_support_validated(self, principal_fixture, name, value):
         table, provider = principal_fixture
-        with pytest.raises(ValueError):
-            mine_patterns(provider, table, ("principal", "university"), min_support=0)
+        counts = {"min_support": 2, name: value}
+        with pytest.raises(ValueError, match=name):
+            mine_patterns(provider, table, ("principal", "university"), **counts)
 
 
 class TestExtract:
