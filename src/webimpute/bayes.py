@@ -1,18 +1,21 @@
 """Internal imputation: fill missing cells from the table's own evidence.
 
 For a missing cell the applicable dependencies are those whose determinants
-are all present in the tuple (and whose condition holds).  Candidates are
-the distinct values the attribute takes elsewhere (restricted to
-condition-satisfying tuples for conditional rules).  Each candidate ``d``
-gets the naive-Bayes joint
+are all present in the tuple and whose condition holds; the heaviest decides
+(ties: lowest rule id).  Candidates are the distinct present values of the
+attribute over condition-satisfying tuples.  Each candidate ``d`` gets the
+naive-Bayes joint
 
     P(d) * prod_i P(a_i | d)
 
-with probabilities estimated by frequency counts over tuples complete on the
-referenced attributes.  There is no smoothing: a zero count zeroes the
-candidate.  Joints are normalized to posteriors over the candidate set and
-the best candidate is written back when its posterior reaches the threshold;
-otherwise the cell abstains and is left for web-based imputation.
+with probabilities estimated by frequency counts over the condition-satisfying
+tuples complete on the attribute and every determinant, all taken in one scan
+(:class:`_FrequencyCounts`).  There is no smoothing: a candidate never seen
+with one of the evidence values scores 0, so only the candidates seen with
+every one are multiplied out.  Joints are normalized to posteriors over the
+candidate set and the best candidate is written back when its posterior
+reaches the threshold; otherwise the cell abstains and is left for web-based
+imputation.
 
 The table is swept repeatedly (a fill can unlock evidence for another cell)
 until a sweep fills nothing or ``max_rounds`` is hit.
@@ -23,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .depgraph import DependencyGraph, RuleApplication
-from .rules import RuleSet
+from .rules import conditions_hold
 from .tabular import MISSING, Table
 
 ABSTAIN = None
@@ -67,22 +70,9 @@ class BayesDecision:
         }
 
 
-def _condition_rows(table: Table, condition: tuple[tuple[str, str], ...]) -> list[int]:
-    return [
-        r
-        for r in range(len(table.rows))
-        if all(table.cell(r, a) == lit for a, lit in condition)
-    ]
-
-
 def candidate_values(table: Table, attr: str, rule) -> set[str]:
     """Distinct present values of ``attr`` over condition-satisfying tuples."""
-    col = table.column_index(attr)
-    return {
-        table.rows[r][col]
-        for r in _condition_rows(table, tuple(rule.condition))
-        if table.rows[r][col] is not MISSING
-    }
+    return set(_FrequencyCounts.build(table, attr, (), rule.condition).candidates)
 
 
 def bayes_score(
@@ -97,53 +87,65 @@ def bayes_score(
     Counted over tuples that satisfy the rule's condition and are complete
     on ``attr`` and every evidence attribute.
     """
-    counts = _FrequencyCounts.build(table, attr, [a for a, _ in evidence], rule.condition)
-    return counts.joint(candidate, evidence)
+    counts = _FrequencyCounts.build(table, attr, tuple(a for a, _ in evidence), rule.condition)
+    return counts.joints(evidence).get(candidate, 0.0)
 
 
 @dataclass
 class _FrequencyCounts:
-    """Count tables for one (condition, target attr, evidence attrs) setting."""
+    """One scan's counts for a (condition, target attr, evidence attrs) setting."""
 
-    total: int
-    target: dict[str, int]
-    pair: dict[str, dict[tuple[str, str], int]]  # evidence attr -> (ev value, d) -> n
+    candidates: list[str]  # sorted present target values over the condition rows
+    total: int  # condition rows complete on the target and every evidence attr
+    target: dict[str, int]  # candidate -> n, over those ``total`` rows
+    pair: dict[tuple[str, str], dict[str, int]]  # (evidence attr, value) -> {candidate: n}
 
     @classmethod
     def build(
         cls,
         table: Table,
         attr: str,
-        evidence_attrs: list[str],
+        evidence_attrs: tuple[str, ...],
         condition: tuple[tuple[str, str], ...],
     ) -> "_FrequencyCounts":
-        needed = [attr] + evidence_attrs
+        col = table.column_index(attr)
+        evidence_cols = [(a, table.column_index(a)) for a in evidence_attrs]
+        present: set[str] = set()
         target: dict[str, int] = {}
-        pair: dict[str, dict[tuple[str, str], int]] = {a: {} for a in evidence_attrs}
+        pair: dict[tuple[str, str], dict[str, int]] = {}
         total = 0
-        for r in _condition_rows(table, condition):
-            if any(table.cell(r, a) is MISSING for a in needed):
+        for r, row in enumerate(table.rows):
+            d = row[col]
+            if d is MISSING or not conditions_hold(table, r, condition):
+                continue
+            present.add(d)
+            keys = [(a, row[c]) for a, c in evidence_cols]
+            if any(v is MISSING for _, v in keys):
                 continue
             total += 1
-            d = table.cell(r, attr)
             target[d] = target.get(d, 0) + 1
-            for a in evidence_attrs:
-                key = (table.cell(r, a), d)
-                pair[a][key] = pair[a].get(key, 0) + 1
-        return cls(total, target, pair)
+            for key in keys:
+                counts = pair.setdefault(key, {})
+                counts[d] = counts.get(d, 0) + 1
+        return cls(sorted(present), total, target, pair)
 
-    def joint(self, candidate: str, evidence: list[tuple[str, str]]) -> float:
-        if self.total == 0:
-            return 0.0
-        c_d = self.target.get(candidate, 0)
-        if c_d == 0:
-            return 0.0
-        score = c_d / self.total
-        for a, v in evidence:
-            score *= self.pair[a].get((v, candidate), 0) / c_d
-            if score == 0.0:
-                return 0.0
-        return score
+    def joints(self, evidence: list[tuple[str, str]]) -> dict[str, float]:
+        """The nonzero joints P(d) * prod P(v | d), by candidate.
+
+        A candidate that never co-occurs with one of the evidence values
+        scores 0, so only the candidates in every evidence value's map are
+        scored; the factors are multiplied in evidence order.
+        """
+        maps = [self.pair.get((a, v), {}) for a, v in evidence]
+        joints = {}
+        for d in min(maps, key=len, default=self.target):
+            if all(d in m for m in maps):
+                c_d = self.target[d]
+                score = c_d / self.total
+                for m in maps:
+                    score *= m[d] / c_d
+                joints[d] = score
+        return joints
 
 
 def _decide_cell(
@@ -151,34 +153,26 @@ def _decide_cell(
     row: int,
     attr: str,
     app: RuleApplication,
-    rule,
     k: float,
     cache: dict,
 ) -> BayesDecision:
-    key = (rule.condition, attr, app.determinants)
+    # The cache lives for one round, during which the table does not change.
+    key = (app.conditions, attr, app.determinants)
     counts = cache.get(key)
     if counts is None:
-        counts = _FrequencyCounts.build(
-            table, attr, list(app.determinants), rule.condition
-        )
+        counts = _FrequencyCounts.build(table, attr, app.determinants, app.conditions)
         cache[key] = counts
-    evidence = [(a, table.cell(row, a)) for a in app.determinants]
-    # The cache lives for one round, during which the table does not change.
-    candidates = cache.get((rule.condition, attr))
-    if candidates is None:
-        candidates = sorted(candidate_values(table, attr, rule))
-        cache[(rule.condition, attr)] = candidates
-    joints = {d: counts.joint(d, evidence) for d in candidates}
-    total = sum(joints.values())
+    nonzero = counts.joints([(a, table.cell(row, a)) for a in app.determinants])
+    joints = [nonzero.get(d, 0.0) for d in counts.candidates]
+    total = sum(joints)
     scored = [
-        CandidateScore(d, joints[d], joints[d] / total if total > 0 else 0.0)
-        for d in candidates
+        CandidateScore(d, j, j / total if total > 0 else 0.0)
+        for d, j in zip(counts.candidates, joints)
     ]
     chosen = None
     if total > 0:
-        max_post = max(c.posterior for c in scored)
-        # equal posteriors break lexicographically on the value
-        best = min((c for c in scored if c.posterior == max_post), key=lambda c: c.value)
+        # candidates are sorted, so equal posteriors break on the lowest value
+        best = max(scored, key=lambda c: c.posterior)
         if best.posterior >= k:
             chosen = best.value
     return BayesDecision(row, attr, app.rule_id, scored, chosen, k)
@@ -187,7 +181,6 @@ def _decide_cell(
 def impute_internal(
     table: Table,
     graph: DependencyGraph,
-    ruleset: RuleSet,
     k: float,
     max_rounds: int = 10,
 ) -> tuple[Table, list[BayesDecision]]:
@@ -211,14 +204,13 @@ def impute_internal(
                 app
                 for app in graph.applications_into(attr)
                 if all(current.cell(row, a) is not MISSING for a in app.determinants)
-                and all(current.cell(row, a) == lit for a, lit in app.conditions)
+                and conditions_hold(current, row, app.conditions)
             ]
             if not apps:
                 sweep.append(BayesDecision(row, attr, None, [], ABSTAIN, k))
                 continue
             best_app = min(apps, key=lambda a: (-a.weight, a.rule_id))
-            rule = ruleset.rule(best_app.rule_id)
-            sweep.append(_decide_cell(current, row, attr, best_app, rule, k, cache))
+            sweep.append(_decide_cell(current, row, attr, best_app, k, cache))
         abstains = {(d.row, d.attr): d for d in sweep if d.chosen is None}
         fills = [d for d in sweep if d.chosen is not None]
         if not fills:

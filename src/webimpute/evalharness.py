@@ -109,36 +109,27 @@ class SweepResult:
 
     def to_csv(self, include_timing: bool = True) -> str:
         """Per-run rows followed by one ``seed=avg`` row per ratio."""
-        buf = io.StringIO()
-        header = ["ratio", "seed", "masked", "filled", "correct", "accuracy",
-                  "filling_ratio"]
-        if include_timing:
-            header.append("wall_time_s")
-        writer = csv.writer(buf)
-        writer.writerow(header)
+        records = [["ratio", "seed", "masked", "filled", "correct", "accuracy",
+                    "filling_ratio", "wall_time_s"]]
         for row in self.rows:
-            if row.metrics is None:
-                record = [f"{row.ratio:g}", row.seed, "", "", "", "", ""]
-                if include_timing:
-                    record.append("")
-                writer.writerow(record)
-                continue
             m = row.metrics
-            record = [
+            if m is None:
+                records.append([f"{row.ratio:g}", row.seed, "", "", "", "", "", ""])
+                continue
+            records.append([
                 f"{row.ratio:g}", row.seed, m.masked, m.filled, m.correct,
                 f"{m.accuracy:.6f}", f"{m.filling_ratio:.6f}",
-            ]
-            if include_timing:
-                record.append(f"{m.wall_time:.6f}" if m.wall_time is not None else "")
-            writer.writerow(record)
+                f"{m.wall_time:.6f}" if m.wall_time is not None else "",
+            ])
         for avg in self.averages():
-            record = [
+            records.append([
                 f"{avg['ratio']:g}", "avg", "", "", "",
                 f"{avg['accuracy']:.6f}", f"{avg['filling_ratio']:.6f}",
-            ]
-            if include_timing:
-                record.append(f"{avg['wall_time']:.6f}")
-            writer.writerow(record)
+                f"{avg['wall_time']:.6f}",
+            ])
+        buf = io.StringIO()
+        end = None if include_timing else -1  # the timing column is last
+        csv.writer(buf).writerows(record[:end] for record in records)
         return buf.getvalue()
 
     def summary(self) -> str:

@@ -35,6 +35,7 @@ from operator import attrgetter
 
 from .bayes import ABSTAIN
 from .depgraph import DependencyGraph, RuleApplication
+from .rules import conditions_hold
 from .tabular import MISSING, Table
 
 
@@ -96,10 +97,6 @@ _RANK = attrgetter("rank")
 _Option = tuple[RuleApplication, list[str]]  # an application and its missing determinants
 
 
-def _app_feasible(table: Table, row: int, app: RuleApplication) -> bool:
-    return all(table.cell(row, a) == lit for a, lit in app.conditions)
-
-
 def enumerate_single_sink_graphs(
     graph: DependencyGraph,
     table: Table,
@@ -142,7 +139,7 @@ def enumerate_single_sink_graphs(
                         f"rule {app.rule_id}: edge weight into {attr} must be in "
                         f"[0, 1], got {app.weight}"
                     )
-                if _app_feasible(table, row, app):
+                if conditions_hold(table, row, app.conditions):
                     missing = []
                     for det in app.determinants:
                         if table.cell(row, det) is MISSING:

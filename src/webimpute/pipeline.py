@@ -89,6 +89,17 @@ class RunConfig:
             raise ValueError("query_retries must be >= 0")
         if self.provider is not None and not isinstance(self.provider, dict):
             raise ValueError("provider must be a mapping of provider settings")
+        if not isinstance(self.dictionaries, dict) or not all(
+            isinstance(a, str) and isinstance(path, str)
+            for a, path in self.dictionaries.items()
+        ):
+            raise ValueError("dictionaries must map attribute names to path strings")
+        if self.pattern_cache is not None and not isinstance(self.pattern_cache, str):
+            raise ValueError(
+                f"pattern_cache must be a path string or None, got {self.pattern_cache!r}"
+            )
+        if not isinstance(self.reiterate, bool):
+            raise ValueError(f"reiterate must be true or false, got {self.reiterate!r}")
 
     @property
     def effective_pattern_support(self) -> int:
@@ -287,7 +298,7 @@ def impute(
 
     graph = build_dependency_graph(ruleset)
     internal_table, decisions = impute_internal(
-        table, graph, ruleset, config.bayes_threshold, config.max_rounds
+        table, graph, config.bayes_threshold, config.max_rounds
     )
     t_internal = time.perf_counter()
 
@@ -343,7 +354,7 @@ def impute(
 
     if config.reiterate:
         refilled, extra_decisions = impute_internal(
-            final, graph, ruleset, config.bayes_threshold, max_rounds=1
+            final, graph, config.bayes_threshold, max_rounds=1
         )
         for decision in extra_decisions:
             if decision.chosen is not None:

@@ -52,6 +52,12 @@ class Rule:
             raise RuleParseError(f"rule {self.id}: empty LHS")
         if not self.rhs:
             raise RuleParseError(f"rule {self.id}: empty RHS")
+        for side, attrs in (("LHS", self.lhs), ("RHS", self.rhs)):
+            repeated = sorted({a for a in attrs if attrs.count(a) > 1})
+            if repeated:
+                raise RuleParseError(
+                    f"rule {self.id}: attribute repeated in {side}: {', '.join(repeated)}"
+                )
         both = set(self.lhs) & set(self.rhs)
         if both:
             raise RuleParseError(
@@ -78,9 +84,10 @@ class Rule:
     def referenced_attrs(self) -> set[str]:
         return set(self.lhs) | set(self.rhs) | set(self.condition_attrs)
 
-    def condition_holds(self, table: Table, row: int) -> bool:
-        """True when the row satisfies every condition literal (values present)."""
-        return all(table.cell(row, a) == lit for a, lit in self.condition)
+
+def conditions_hold(table: Table, row: int, condition: tuple[tuple[str, str], ...]) -> bool:
+    """True when the row satisfies every ``(attr, literal)`` equality (values present)."""
+    return all(table.cell(row, a) == lit for a, lit in condition)
 
 
 def _split_top(text: str, sep: str) -> list[str]:
@@ -237,7 +244,7 @@ def estimate_confidence(rule: Rule, table: Table) -> dict[str, float]:
         for r in range(len(table.rows)):
             if any(table.cell(r, a) is MISSING for a in needed):
                 continue
-            if not rule.condition_holds(table, r):
+            if not conditions_hold(table, r, rule.condition):
                 continue
             total += 1
             key = tuple(table.cell(r, a) for a in rule.lhs)
@@ -286,10 +293,6 @@ class RuleSet:
 
     def confidence(self, rule_id: str, attr: str) -> float:
         return self.confidences[(rule_id, attr)]
-
-    def rules_into(self, attr: str) -> list[Rule]:
-        """Rules whose RHS contains ``attr``, in declaration order."""
-        return [r for r in self.rules if attr in r.rhs]
 
     def referenced_attrs(self) -> set[str]:
         out: set[str] = set()

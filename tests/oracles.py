@@ -20,8 +20,12 @@ from webimpute.tabular import MISSING
 from webimpute.textutil import tokenize
 
 
-def bayes_oracle(table: Table, ruleset: RuleSet, row: int, attr: str, k: float):
-    """Expected internal-fill decision for one missing cell, or None."""
+def bayes_joints_oracle(table: Table, ruleset: RuleSet, row: int, attr: str):
+    """``(rule, {candidate: joint})`` for one missing cell, or None.
+
+    The rule is the applicable one with the highest confidence into
+    ``attr`` (ties: lowest id); the candidates come in sorted order.
+    """
     applicable = []
     for rule in ruleset.rules:
         if attr not in rule.rhs:
@@ -71,12 +75,21 @@ def bayes_oracle(table: Table, ruleset: RuleSet, row: int, attr: str, k: float):
             )
             joint *= n_av / n_d
         joints[d] = joint
+    return best, joints
+
+
+def bayes_oracle(table: Table, ruleset: RuleSet, row: int, attr: str, k: float):
+    """Expected internal-fill decision for one missing cell, or None."""
+    found = bayes_joints_oracle(table, ruleset, row, attr)
+    if found is None:
+        return None
+    _, joints = found
     total = sum(joints.values())
     if total <= 0:
         return None
     posteriors = {d: j / total for d, j in joints.items()}
     top = max(posteriors.values())
-    winner = min(d for d in candidates if posteriors[d] == top)
+    winner = min(d for d in joints if posteriors[d] == top)
     return winner if posteriors[winner] >= k else None
 
 
@@ -327,6 +340,38 @@ def random_bayes_case(rng: random.Random):
     masked = table.with_cell(row, attr, MISSING)
     k = rng.choice([0.0, 0.3, 0.5, 0.8, 1.0])
     return masked, ruleset, row, attr, k
+
+
+def random_count_case(rng: random.Random):
+    """A small table with several masked cells, a rule set and a threshold.
+
+    Each attribute takes one of three values, so joints and posteriors tie.
+    Rules have one or two attributes on each side, a condition one time in
+    three, and confidences declared from {0.5, 0.8, 1.0} or measured.  About
+    a sixth of the cells are masked, which leaves some candidates only in
+    rows that are incomplete on the evidence.
+    """
+    attrs = ["A", "B", "C", "D", "E"][: rng.randint(3, 5)]
+    n_rows = rng.randint(3, 12)
+    rows = [[f"{a.lower()}{rng.randint(1, 3)}" for a in attrs] for _ in range(n_rows)]
+    cells = [(r, c) for r in range(n_rows) for c in range(len(attrs))]
+    for r, c in rng.sample(cells, rng.randint(1, len(cells) // 3)):
+        rows[r][c] = MISSING
+    table = Table("case", attrs, rows)
+
+    rules = []
+    for i in range(rng.randint(1, 4)):
+        rhs = tuple(rng.sample(attrs, rng.choice([1, 1, 2])))
+        others = [a for a in attrs if a not in rhs]
+        lhs = tuple(rng.sample(others, rng.randint(1, min(2, len(others)))))
+        condition = ()
+        if rng.random() < 1 / 3:
+            ca = rng.choice(others)
+            condition = ((ca, f"{ca.lower()}{rng.randint(1, 3)}"),)
+        declared = rng.choice([0.5, 0.8, 1.0, None])
+        rules.append(Rule(f"r{i}", condition, lhs, rhs, declared))
+    k = rng.choice([0.0, 0.3, 0.5, 0.8, 1.0])
+    return table, RuleSet.estimate(rules, table), k
 
 
 def random_sink_case(rng: random.Random):

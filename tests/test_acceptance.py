@@ -97,7 +97,7 @@ def university_sweep(university):
 def test_criterion_01_internal_phase_on_worked_example(nba):
     table, ruleset, graph, _, _ = nba
     start = time.perf_counter()
-    filled, _ = impute_internal(table, graph, ruleset, k=0.5)
+    filled, _ = impute_internal(table, graph, k=0.5)
     elapsed = time.perf_counter() - start
     assert filled.cell(3, "Location") == "SanFrancsicoCA"
     assert filled.cell(3, "Capacity") == "7500"
@@ -109,7 +109,7 @@ def test_criterion_01_internal_phase_on_worked_example(nba):
 
 def test_criterion_02_keyword_selection_on_worked_example(nba):
     table, ruleset, graph, _, _ = nba
-    filled, _ = impute_internal(table, graph, ruleset, k=0.5)
+    filled, _ = impute_internal(table, graph, k=0.5)
     graphs = enumerate_single_sink_graphs(graph, filled, 4, "Location")
     chained = [g for g in graphs if g.attrs == ("Arena", "Capacity", "Location")]
     assert chained and chained[0].weight == 0.7
@@ -198,7 +198,7 @@ def test_criterion_06_bayes_matches_brute_force_oracle():
     for _ in range(50):
         masked, ruleset, row, attr, k = random_bayes_case(rng)
         graph = build_dependency_graph(ruleset)
-        filled, _ = impute_internal(masked, graph, ruleset, k, max_rounds=1)
+        filled, _ = impute_internal(masked, graph, k, max_rounds=1)
         expected = bayes_oracle(masked, ruleset, row, attr, k)
         assert filled.cell(row, attr) == expected
         agreements += 1

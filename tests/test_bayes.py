@@ -1,8 +1,15 @@
 import random
+from collections import Counter
 
 import pytest
 
-from oracles import bayes_oracle, internal_fills_oracle, random_bayes_case
+from oracles import (
+    bayes_joints_oracle,
+    bayes_oracle,
+    internal_fills_oracle,
+    random_bayes_case,
+    random_count_case,
+)
 from webimpute import (
     MISSING,
     RuleSet,
@@ -13,6 +20,7 @@ from webimpute import (
     impute_internal,
     parse_rules,
 )
+from webimpute.rules import conditions_hold
 
 
 def make_table(columns, rows):
@@ -69,7 +77,7 @@ class TestScore:
 
 class TestImputeInternal:
     def test_nba_worked_example(self, nba_table, nba_ruleset, nba_graph):
-        filled, decisions = impute_internal(nba_table, nba_graph, nba_ruleset, 0.5)
+        filled, decisions = impute_internal(nba_table, nba_graph, 0.5)
         assert filled.cell(3, "Location") == "SanFrancsicoCA"
         assert filled.cell(3, "Capacity") == "7500"
         assert filled.cell(4, "Location") is MISSING
@@ -78,14 +86,14 @@ class TestImputeInternal:
         assert chosen == {(3, "Location"): "SanFrancsicoCA", (3, "Capacity"): "7500"}
 
     def test_one_decision_per_missing_cell(self, nba_table, nba_ruleset, nba_graph):
-        _, decisions = impute_internal(nba_table, nba_graph, nba_ruleset, 0.5)
+        _, decisions = impute_internal(nba_table, nba_graph, 0.5)
         cells = [(d.row, d.attr) for d in decisions]
         assert sorted(cells) == sorted(nba_table.missing_cells())
 
     def test_complete_table_unchanged(self):
         table = make_table(["A", "B"], [["a1", "b1"], ["a2", "b2"]])
         ruleset, graph = setup_ruleset("r: A -> B", table)
-        filled, decisions = impute_internal(table, graph, ruleset, 0.5)
+        filled, decisions = impute_internal(table, graph, 0.5)
         assert filled.rows == table.rows
         assert decisions == []
 
@@ -96,7 +104,7 @@ class TestImputeInternal:
             [["a1", "b1", "c1"], ["a1", "b1", "c1"], ["a1", MISSING, MISSING]],
         )
         ruleset, graph = setup_ruleset("r1: A -> B\nr2: B -> C", table)
-        filled, decisions = impute_internal(table, graph, ruleset, 0.5)
+        filled, decisions = impute_internal(table, graph, 0.5)
         assert filled.cell(2, "B") == "b1"
         assert filled.cell(2, "C") == "c1"
 
@@ -107,7 +115,7 @@ class TestImputeInternal:
             [["a1", "b1"], ["a1", "b2"], ["a1", MISSING]],
         )
         ruleset, graph = setup_ruleset("r: A -> B", table)
-        filled, decisions = impute_internal(table, graph, ruleset, 0.9)
+        filled, decisions = impute_internal(table, graph, 0.9)
         assert filled.cell(2, "B") is MISSING
         (decision,) = decisions
         assert decision.chosen is None
@@ -139,7 +147,7 @@ class TestImputeInternal:
             table,
         )
         east_city = ruleset.rule("c")
-        filled, decisions = impute_internal(table, graph, ruleset, 0.5)
+        filled, decisions = impute_internal(table, graph, 0.5)
         assert candidate_values(table, "City", east_city) == {"Atlanta"}
         assert candidate_values(filled, "City", east_city) == {"Atlanta", "Brooklyn"}
         chosen = {(d.row, d.attr): d.chosen for d in decisions if d.chosen}
@@ -161,40 +169,40 @@ class TestImputeInternal:
             [["a1", "b2"], ["a1", "b1"], ["a1", MISSING]],
         )
         ruleset, graph = setup_ruleset("r: A -> B", table)
-        filled, _ = impute_internal(table, graph, ruleset, 0.5)
+        filled, _ = impute_internal(table, graph, 0.5)
         assert filled.cell(2, "B") == "b1"
 
     def test_confident_unique_candidate_fills_at_k_one(self):
         table = make_table(["A", "B"], [["a1", "b1"], ["a1", MISSING]])
         ruleset, graph = setup_ruleset("r: A -> B", table)
-        filled, _ = impute_internal(table, graph, ruleset, 1.0)
+        filled, _ = impute_internal(table, graph, 1.0)
         assert filled.cell(1, "B") == "b1"
 
     def test_higher_confidence_rule_decides(self, nba_table, nba_ruleset, nba_graph):
         # t4.Team: f2 (confidence 1.0) outranks f4 (0.8) and scores everything
         # zero, so the cell abstains even though f4 alone would fill it
-        filled, decisions = impute_internal(nba_table, nba_graph, nba_ruleset, 0.5)
+        filled, decisions = impute_internal(nba_table, nba_graph, 0.5)
         assert filled.cell(3, "Team") is MISSING
         team = next(d for d in decisions if (d.row, d.attr) == (3, "Team"))
         assert team.rule_id == "f2"
         assert team.chosen is None
 
     def test_posteriors_sum_to_one_when_scored(self, nba_table, nba_ruleset, nba_graph):
-        _, decisions = impute_internal(nba_table, nba_graph, nba_ruleset, 0.5)
+        _, decisions = impute_internal(nba_table, nba_graph, 0.5)
         for d in decisions:
             total_joint = sum(c.joint for c in d.candidates)
             if total_joint > 0:
                 assert sum(c.posterior for c in d.candidates) == pytest.approx(1.0)
 
     def test_deterministic(self, nba_table, nba_ruleset, nba_graph):
-        a = impute_internal(nba_table, nba_graph, nba_ruleset, 0.5)
-        b = impute_internal(nba_table, nba_graph, nba_ruleset, 0.5)
+        a = impute_internal(nba_table, nba_graph, 0.5)
+        b = impute_internal(nba_table, nba_graph, 0.5)
         assert a[0].rows == b[0].rows
         assert [d.to_dict() for d in a[1]] == [d.to_dict() for d in b[1]]
 
     def test_bad_threshold_rejected(self, nba_table, nba_ruleset, nba_graph):
         with pytest.raises(ValueError):
-            impute_internal(nba_table, nba_graph, nba_ruleset, 1.5)
+            impute_internal(nba_table, nba_graph, 1.5)
 
 
 def test_derived_fixture_matches_oracle():
@@ -212,7 +220,7 @@ def test_derived_fixture_matches_oracle():
         ],
     )
     ruleset, graph = setup_ruleset("r: P, Q -> X", table)
-    filled, (decision,) = impute_internal(table, graph, ruleset, 0.5)
+    filled, (decision,) = impute_internal(table, graph, 0.5)
     assert filled.cell(5, "X") == bayes_oracle(table, ruleset, 5, "X", 0.5) == "x1"
     joints = {c.value: c.joint for c in decision.candidates}
     # by direct counting over the 5 complete rows:
@@ -227,6 +235,51 @@ def test_random_cases_agree_with_oracle():
     for _ in range(25):
         masked, ruleset, row, attr, k = random_bayes_case(rng)
         graph = build_dependency_graph(ruleset)
-        filled, _ = impute_internal(masked, graph, ruleset, k, max_rounds=1)
+        filled, _ = impute_internal(masked, graph, k, max_rounds=1)
         got = filled.cell(row, attr)
         assert got == bayes_oracle(masked, ruleset, row, attr, k)
+
+
+def test_count_table_matches_oracle_on_random_tables():
+    # Candidates, joints and posteriors of every decision equal the oracle's
+    # bit for bit, over chained rounds.
+    rng = random.Random(20261018)
+    seen = Counter()
+    for _ in range(500):
+        table, ruleset, k = random_count_case(rng)
+        graph = build_dependency_graph(ruleset)
+        for round_no in range(3):
+            filled, decisions = impute_internal(table, graph, k, max_rounds=1)
+            for d in decisions:
+                found = bayes_joints_oracle(table, ruleset, d.row, d.attr)
+                if found is None:
+                    assert (d.rule_id, d.candidates, d.chosen) == (None, [], None)
+                    continue
+                rule, joints = found
+                total = sum(joints.values())
+                posteriors = [j / total if total > 0 else 0.0 for j in joints.values()]
+                assert d.rule_id == rule.id
+                assert [c.value for c in d.candidates] == list(joints)
+                assert [c.joint for c in d.candidates] == list(joints.values())
+                assert [c.posterior for c in d.candidates] == posteriors
+                assert d.chosen == bayes_oracle(table, ruleset, d.row, d.attr, k)
+
+                needed = (d.attr,) + rule.lhs
+                counted = {
+                    table.cell(i, d.attr)
+                    for i in range(len(table.rows))
+                    if conditions_hold(table, i, rule.condition)
+                    and all(table.cell(i, a) is not MISSING for a in needed)
+                }
+                top = sorted(posteriors, reverse=True)[:2]
+                seen["uncounted candidate"] += bool(set(joints) - counted)
+                seen["conditional"] += bool(rule.condition)
+                seen["two-attribute LHS"] += len(rule.lhs) == 2
+                seen["tie"] += len(top) == 2 and top[0] == top[1] > 0
+                seen["later round"] += round_no > 0
+            if all(d.chosen is None for d in decisions):
+                break
+            table = filled
+    assert min(seen[key] for key in (
+        "uncounted candidate", "conditional", "two-attribute LHS", "tie", "later round"
+    )) >= 20, seen

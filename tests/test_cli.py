@@ -199,6 +199,33 @@ def test_bad_config_file_is_usage_error(tmp_path, capsys, text):
     assert len(errors) == 1 and str(config) in errors[0]
 
 
+@pytest.mark.parametrize(
+    "settings, key",
+    [
+        ({"dictionaries": {"Location": 3}}, "dictionaries"),
+        ({"pattern_cache": 5}, "pattern_cache"),
+        ({"reiterate": "no"}, "reiterate"),
+    ],
+    ids=["dictionaries-path-not-a-string", "pattern-cache-number", "reiterate-string"],
+)
+def test_wrongly_typed_config_value_is_usage_error(tmp_path, capsys, settings, key):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(settings), encoding="utf-8")
+    code = run(
+        "impute",
+        "--table", str(DATA / "nba.csv"),
+        "--rules", str(DATA / "nba.rules"),
+        "--corpus", str(DATA / "nba_corpus.jsonl"),
+        "--config", str(config),
+        "--out", str(tmp_path / "out.csv"),
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and key in errors[0]
+
+
 def test_missing_config_file_is_data_error(tmp_path):
     code = run(
         "impute",

@@ -34,7 +34,7 @@ def setup_graph(text, table):
 
 @pytest.fixture
 def nba_after_internal(nba_table, nba_ruleset, nba_graph):
-    filled, _ = impute_internal(nba_table, nba_graph, nba_ruleset, 0.5)
+    filled, _ = impute_internal(nba_table, nba_graph, 0.5)
     return filled
 
 

@@ -227,6 +227,21 @@ def test_config_rejects_count_below_one(field):
         RunConfig(**{field: 0})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("dictionaries", ["City"]),
+        ("dictionaries", {"Location": 3}),
+        ("pattern_cache", 5),
+        ("reiterate", "no"),
+        ("reiterate", 1),
+    ],
+)
+def test_config_rejects_wrong_types(field, value):
+    with pytest.raises(ValueError, match=field):
+        RunConfig(**{field: value})
+
+
 def test_config_default_pattern_support_tracks_page_budget():
     assert RunConfig(pages=5, page_size=10).effective_pattern_support == 25
     assert RunConfig(pages=1, page_size=10).effective_pattern_support == 5

@@ -34,6 +34,16 @@ class TestParse:
         with pytest.raises(RuleParseError, match="both sides"):
             parse_rules("fX: A -> A")
 
+    def test_attr_repeated_in_lhs_rejected(self):
+        # counted twice, A's evidence would give a joint above 1
+        with pytest.raises(RuleParseError, match=r"line 2: .*repeated in LHS: A$"):
+            parse_rules("f1: A -> C\nf2: A, B, A -> C\n")
+
+    def test_attr_repeated_in_rhs_rejected(self):
+        # repeated, B would get two applications from one rule
+        with pytest.raises(RuleParseError, match=r"line 1: .*repeated in RHS: B$"):
+            parse_rules("f: A -> B, C, B")
+
     def test_empty_rhs_rejected(self):
         with pytest.raises(RuleParseError, match="line 1"):
             parse_rules("f: A -> ")
@@ -174,9 +184,6 @@ class TestRuleSet:
             ("f1", "Location"), ("f1", "Capacity"), ("f4", "Team"),
         }
         assert ruleset.confidence("f4", "Team") == 0.8
-
-    def test_rules_into(self, nba_ruleset):
-        assert [r.id for r in nba_ruleset.rules_into("Team")] == ["f2", "f4", "f6"]
 
     def test_duplicate_ids_rejected(self):
         rule = Rule("r", (), ("A",), ("B",))
