@@ -1,10 +1,10 @@
 """Internal imputation: fill missing cells from the table's own evidence.
 
-For a missing cell the applicable dependencies are those whose determinants
-are all present in the tuple and whose condition holds; the heaviest decides
-(ties: lowest rule id).  Candidates are the distinct present values of the
-attribute over condition-satisfying tuples.  Each candidate ``d`` gets the
-naive-Bayes joint
+For a missing cell the applicable dependencies are the graph's feasible
+applications (``DependencyGraph.feasible``: the condition holds in the tuple)
+with every determinant present; the heaviest decides (ties: lowest rule id).
+Candidates are the distinct present values of the attribute over
+condition-satisfying tuples.  Each candidate ``d`` gets the naive-Bayes joint
 
     P(d) * prod_i P(a_i | d)
 
@@ -200,12 +200,8 @@ def impute_internal(
         cache: dict = {}
         sweep: list[BayesDecision] = []
         for row, attr in remaining:
-            apps = [
-                app
-                for app in graph.applications_into(attr)
-                if all(current.cell(row, a) is not MISSING for a in app.determinants)
-                and conditions_hold(current, row, app.conditions)
-            ]
+            feasible = graph.feasible(current, row, attr)
+            apps = [app for app, missing in feasible if not missing]
             if not apps:
                 sweep.append(BayesDecision(row, attr, None, [], ABSTAIN, k))
                 continue

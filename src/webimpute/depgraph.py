@@ -3,8 +3,9 @@
 The graph has three node kinds:
 
 * ``attribute`` nodes, one per attribute appearing on either side of a rule;
-* ``logic`` nodes (AND junctions), one per rule whose determinant count
-  (LHS attributes plus condition literals) is at least two;
+* ``logic`` nodes (AND junctions), one per rule whose applications are
+  junctions (:attr:`RuleApplication.junction`: LHS attributes plus condition
+  literals number at least two);
 * ``condition`` nodes, one per distinct ``Attr=Literal`` constraint.
 
 A rule with a single unconditional determinant contributes direct
@@ -13,13 +14,18 @@ logic node routes weight-1 structural edges from its determinants and
 conditions into the junction, and the per-RHS confidence sits on the
 junction -> attribute edge.  Condition nodes never have incoming edges.
 The graph may contain cycles; nothing downstream assumes acyclicity.
+
+Both imputation phases take from here which rule applications can supply a
+cell (:meth:`DependencyGraph.feasible`) and which form logic nodes; edge
+weights lie in [0, 1] because ``RuleSet`` rejects any other confidence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .rules import RuleSet
+from .rules import RuleSet, conditions_hold
+from .tabular import MISSING, Table
 
 ATTRIBUTE = "attribute"
 LOGIC = "logic"
@@ -53,28 +59,32 @@ class RuleApplication:
     conditions: tuple[tuple[str, str], ...]
     weight: float
 
+    @property
+    def junction(self) -> bool:
+        """Whether the application has a logic node: two or more parents."""
+        return len(self.determinants) + len(self.conditions) >= 2
 
-@dataclass
+
+@dataclass(frozen=True)
 class DependencyGraph:
-    nodes: list[GraphNode] = field(default_factory=list)
-    edges: list[GraphEdge] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self._node_set = set(self.nodes)
-        self._apps: dict[str, list[RuleApplication]] = {}
-
-    def _add_node(self, node: GraphNode) -> GraphNode:
-        if node not in self._node_set:
-            self._node_set.add(node)
-            self.nodes.append(node)
-        return node
-
-    def _add_application(self, app: RuleApplication) -> None:
-        self._apps.setdefault(app.target, []).append(app)
+    nodes: list[GraphNode]
+    edges: list[GraphEdge]
+    applications: dict[str, list[RuleApplication]]  # target -> in declaration order
 
     def applications_into(self, attr: str) -> list[RuleApplication]:
         """Ways to derive ``attr``, in rule-declaration order."""
-        return list(self._apps.get(attr, ()))
+        return list(self.applications.get(attr, ()))
+
+    def feasible(
+        self, table: Table, row: int, attr: str
+    ) -> list[tuple[RuleApplication, list[str]]]:
+        """Applications into ``attr`` whose conditions hold in ``row``, in
+        declaration order, each with its determinants missing in the row."""
+        return [
+            (app, [d for d in app.determinants if table.cell(row, d) is MISSING])
+            for app in self.applications.get(attr, ())
+            if conditions_hold(table, row, app.conditions)
+        ]
 
     def attribute_nodes(self) -> list[GraphNode]:
         return [n for n in self.nodes if n.kind == ATTRIBUTE]
@@ -88,32 +98,32 @@ class DependencyGraph:
 
 def build_dependency_graph(ruleset: RuleSet) -> DependencyGraph:
     """Assemble the graph from a rule set with estimated confidences."""
-    graph = DependencyGraph()
+    nodes: dict[GraphNode, None] = {}  # an insertion-ordered set
+    edges: list[GraphEdge] = []
+    applications: dict[str, list[RuleApplication]] = {}
     for rule in ruleset.rules:
-        for attr in rule.lhs + rule.rhs:
-            graph._add_node(GraphNode(ATTRIBUTE, attr))
-        dep_edge_src: GraphNode
-        if len(rule.lhs) + len(rule.condition) >= 2:
-            junction = graph._add_node(GraphNode(LOGIC, rule.id))
+        nodes.update(dict.fromkeys(GraphNode(ATTRIBUTE, a) for a in rule.lhs + rule.rhs))
+        apps = [
+            RuleApplication(
+                rule.id, attr, rule.lhs, rule.condition, ruleset.confidence(rule.id, attr)
+            )
+            for attr in rule.rhs
+        ]
+        src = GraphNode(ATTRIBUTE, rule.lhs[0])
+        if apps[0].junction:
+            src = GraphNode(LOGIC, rule.id)
+            nodes[src] = None
             for attr in rule.lhs:
-                graph.edges.append(
-                    GraphEdge(GraphNode(ATTRIBUTE, attr), junction, 1.0, rule.id)
-                )
+                edges.append(GraphEdge(GraphNode(ATTRIBUTE, attr), src, 1.0, rule.id))
             for attr, literal in rule.condition:
-                cond = graph._add_node(GraphNode(CONDITION, f"{attr}={literal}"))
-                graph.edges.append(GraphEdge(cond, junction, 1.0, rule.id))
-            dep_edge_src = junction
-        else:
-            dep_edge_src = GraphNode(ATTRIBUTE, rule.lhs[0])
-        for attr in rule.rhs:
-            weight = ruleset.confidence(rule.id, attr)
-            graph.edges.append(
-                GraphEdge(dep_edge_src, GraphNode(ATTRIBUTE, attr), weight, rule.id)
-            )
-            graph._add_application(
-                RuleApplication(rule.id, attr, rule.lhs, rule.condition, weight)
-            )
-    return graph
+                cond = GraphNode(CONDITION, f"{attr}={literal}")
+                nodes[cond] = None
+                edges.append(GraphEdge(cond, src, 1.0, rule.id))
+        for app in apps:
+            dst = GraphNode(ATTRIBUTE, app.target)
+            edges.append(GraphEdge(src, dst, app.weight, rule.id))
+            applications.setdefault(app.target, []).append(app)
+    return DependencyGraph(list(nodes), edges, applications)
 
 
 _DOT_SHAPES = {ATTRIBUTE: "ellipse", LOGIC: "box", CONDITION: "diamond"}

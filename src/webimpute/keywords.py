@@ -14,11 +14,13 @@ then the lexicographically smallest attribute set.  A cell can have
 exponentially many subgraphs (``fanout ** depth`` on a rule chain) but only
 the best few are wanted, so they are found by a depth-first branch and bound
 over the AND-OR expansion, a bounded relative of AO* search (Martelli &
-Montanari 1973, Nilsson 1980), instead of by listing them all.  Confidences
-are at most 1, so the weight product of a partial subgraph bounds every
-completion's weight from above; the attributes that every / some expansion
-of each pending attribute adds bound a completion's node count and attribute
-set from below.
+Montanari 1973, Nilsson 1980), instead of by listing them all.  ``RuleSet``
+rejects any confidence outside [0, 1], so the weight product of a partial
+subgraph bounds every completion's weight from above; the attributes that
+every / some expansion of each pending attribute adds bound a completion's
+node count and attribute set from below.  The dependency graph decides which
+applications can supply an attribute (``DependencyGraph.feasible``, memoised
+per call) and which form logic nodes (``RuleApplication.junction``).
 
 The best graph is rendered into an ordered keyword list - the source values
 it recorded, in breadth-first discovery order, then condition literals, then
@@ -35,7 +37,6 @@ from operator import attrgetter
 
 from .bayes import ABSTAIN
 from .depgraph import DependencyGraph, RuleApplication
-from .rules import conditions_hold
 from .tabular import MISSING, Table
 
 
@@ -72,16 +73,15 @@ def _shape(
 ) -> tuple[int, tuple[str, ...]]:
     """Node count and sorted attributes of the subgraph choosing ``applications``.
 
-    Nodes are the attributes, one logic node per application with two or more
-    parents (determinants and condition literals), and the distinct conditions.
+    Nodes are the attributes, one logic node per junction application, and the
+    distinct conditions.
     """
     labels = {sink}
     logic = 0
     conditions = set()
     for _, app in applications:
         labels.update(app.determinants)
-        if len(app.determinants) + len(app.conditions) >= 2:
-            logic += 1
+        logic += app.junction
         conditions.update(app.conditions)
     return len(labels) + logic + len(conditions), tuple(sorted(labels))
 
@@ -117,9 +117,10 @@ def enumerate_single_sink_graphs(
 
     Branch and bound: a branch is cut once ``limit`` graphs are held and no
     completion of it can rank ahead of the last one held.  Edge weights lie in
-    [0, 1], so the weight product so far, multiplied in the order the final
-    weight is, bounds every completion's weight from above; a completion that
-    ties the last held graph on the whole key comes later and loses the tie.
+    [0, 1] (``RuleSet`` admits no other), so the weight product so far,
+    multiplied in the order the final weight is, bounds every completion's
+    weight from above; a completion that ties the last held graph on the whole
+    key comes later and loses the tie.
     """
     if table.cell(row, sink) is not MISSING:
         raise ValueError(f"cell (row {row}, {sink}) is not missing")
@@ -132,20 +133,7 @@ def enumerate_single_sink_graphs(
         """Feasible applications into ``attr``, each with its missing determinants."""
         found = options.get(attr)
         if found is None:
-            found = []
-            for app in graph.applications_into(attr):
-                if not 0.0 <= app.weight <= 1.0:
-                    raise ValueError(
-                        f"rule {app.rule_id}: edge weight into {attr} must be in "
-                        f"[0, 1], got {app.weight}"
-                    )
-                if conditions_hold(table, row, app.conditions):
-                    missing = []
-                    for det in app.determinants:
-                        if table.cell(row, det) is MISSING:
-                            missing.append(det)
-                    found.append((app, missing))
-            options[attr] = found
+            found = options[attr] = graph.feasible(table, row, attr)
         return found
 
     chosen: dict[str, RuleApplication] = {}  # target -> app, in depth-first preorder

@@ -14,9 +14,10 @@ ones: a context contained in a longer qualifying context with the same
 anchoring is redundant and dropped.  The threshold, the number of sampled
 tuples, the pages per query and ``max_gap`` must each be at least 1.
 
-Extraction runs the mirror image: find the known value in a document, find
-the context sitting against where the unknown value must be, and read the
-adjacent token span through the attribute's dictionary.
+Extraction runs the mirror image and predicts only the second attribute:
+find the first attribute's known value in a document, find the context
+sitting against where the unknown value must be, and read the adjacent
+token span through the second attribute's dictionary.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Sequence
 
 from .extract import Dictionary
 from .providers import Query, SearchProvider
-from .tabular import MISSING, Table
+from .tabular import MISSING, Table, read_json_list
 from .textutil import find_token_seq, tokenize
 
 MAX_GAP = 8
@@ -173,20 +174,17 @@ def extract_by_pattern(
 ) -> str | None:
     """Value for ``(row, sink)`` extracted through a mined pattern, or None.
 
-    Queries the provider with the known value plus the context tokens, scans
-    the results in rank order for the known value with the context in the
-    right place, and reads the adjacent span through the dictionary.  The
-    first successful dictionary match wins.
+    ``sink`` must be the attribute the pattern predicts, ``pattern.attr2``.
+    Queries the provider with the row's ``attr1`` value plus the context
+    tokens, scans the results in rank order for that value with the context
+    in the right place, and reads the adjacent span through the dictionary.
+    The first successful dictionary match wins.
     """
-    if sink == pattern.attr2:
-        known_attr = pattern.attr1
-    elif sink == pattern.attr1:
-        known_attr = pattern.attr2
-    else:
+    if sink != pattern.attr2:
         raise ValueError(f"pattern {pattern.attr1}/{pattern.attr2} does not cover {sink}")
-    known_value = table.cell(row, known_attr)
+    known_value = table.cell(row, pattern.attr1)
     if known_value is MISSING:
-        raise ValueError(f"known attribute {known_attr} is missing in row {row}")
+        raise ValueError(f"known attribute {pattern.attr1} is missing in row {row}")
 
     known_seq = tokenize(known_value)
     ctx = list(pattern.context)
@@ -194,41 +192,24 @@ def extract_by_pattern(
     if not known_seq or length > max_gap:
         return None
     slack = max_gap - length
-    sink_first = (sink == pattern.attr1) == (pattern.direction == FORWARD)
-    anchored_at_sink = sink == pattern.attr2
 
     documents = provider.query(Query((known_value, " ".join(ctx)), pages))
     for doc in sorted(documents, key=lambda d: d.rank):
         tokens = tokenize(doc.text)
         for s in find_token_seq(tokens, known_seq):
-            e = s + len(known_seq)
-            if anchored_at_sink and not sink_first:
+            if pattern.direction == FORWARD:
                 # [KNOWN] .. [ctx][SINK]: context floats, sink right after it
+                e = s + len(known_seq)
                 for c_s in range(e, min(e + slack, len(tokens) - length) + 1):
                     if tokens[c_s : c_s + length] == ctx:
                         hit = dictionary.match_at(tokens, c_s + length)
                         if hit:
                             return hit[0]
-            elif anchored_at_sink and sink_first:
+            else:
                 # [SINK][ctx] .. [KNOWN]: context floats, sink right before it
                 for c_e in range(s, max(s - slack, length) - 1, -1):
                     if tokens[c_e - length : c_e] == ctx:
                         hit = dictionary.match_ending_at(tokens, c_e - length)
-                        if hit:
-                            return hit[0]
-            elif sink_first:
-                # [SINK] .. [ctx][KNOWN]: context glued to the known value
-                c_s = s - length
-                if c_s >= 0 and tokens[c_s:s] == ctx:
-                    for p in range(c_s, max(c_s - slack, 0) - 1, -1):
-                        hit = dictionary.match_ending_at(tokens, p)
-                        if hit:
-                            return hit[0]
-            else:
-                # [KNOWN][ctx] .. [SINK]: context glued to the known value
-                if tokens[e : e + length] == ctx:
-                    for p in range(e + length, min(e + length + slack, len(tokens)) + 1):
-                        hit = dictionary.match_at(tokens, p)
                         if hit:
                             return hit[0]
     return None
@@ -243,10 +224,6 @@ def save_patterns(patterns: Sequence[Pattern], path: str | Path) -> None:
 
 
 def load_patterns(path: str | Path) -> list[Pattern]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [
-        Pattern(
-            d["attr1"], d["attr2"], tuple(d["context"]), d["direction"], int(d["support"])
-        )
-        for d in data
-    ]
+    return read_json_list(path, "pattern", lambda d: Pattern(
+        d["attr1"], d["attr2"], tuple(d["context"]), d["direction"], int(d["support"])
+    ))

@@ -45,6 +45,12 @@ FILLED_KEYWORD = "filled-keyword"
 ABSTAINED = "abstained"
 
 
+_COUNT_FIELDS = {  # integer RunConfig fields -> least allowed value
+    "pattern_support": 1, "pages": 1, "sample": 1, "max_rounds": 1,
+    "max_concurrent_queries": 1, "max_gap": 1, "page_size": 1, "query_retries": 0,
+}
+
+
 @dataclass
 class RunConfig:
     """Thresholds and knobs for one imputation run."""
@@ -67,26 +73,16 @@ class RunConfig:
     provider: dict | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.bayes_threshold <= 1.0:
-            raise ValueError("bayes_threshold must be in [0,1]")
-        if not 0.0 <= self.group_threshold <= 1.0:
-            raise ValueError("group_threshold must be in [0,1]")
-        if self.pattern_support is not None and self.pattern_support < 1:
-            raise ValueError("pattern_support must be >= 1")
-        if self.pages < 1:
-            raise ValueError("pages must be >= 1")
-        if self.sample < 1:
-            raise ValueError("sample must be >= 1")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
-        if self.max_gap < 1:
-            raise ValueError("max_gap must be >= 1")
-        if self.page_size < 1:
-            raise ValueError("page_size must be >= 1")
-        if self.max_concurrent_queries < 1:
-            raise ValueError("max_concurrent_queries must be >= 1")
-        if self.query_retries < 0:
-            raise ValueError("query_retries must be >= 0")
+        for name in ("bayes_threshold", "group_threshold"):
+            value = getattr(self, name)
+            if type(value) not in (int, float) or not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be a number in [0,1], got {value!r}")
+        for name, least in _COUNT_FIELDS.items():
+            value = getattr(self, name)
+            if name == "pattern_support" and value is None:
+                continue
+            if type(value) is not int or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.provider is not None and not isinstance(self.provider, dict):
             raise ValueError("provider must be a mapping of provider settings")
         if not isinstance(self.dictionaries, dict) or not all(

@@ -238,7 +238,7 @@ def estimate_confidence(rule: Rule, table: Table) -> dict[str, float]:
         if rule.declared_confidence is not None:
             result[attr] = rule.declared_confidence
             continue
-        needed = list(rule.condition_attrs) + list(rule.lhs) + [attr]
+        needed = list(dict.fromkeys(rule.condition_attrs + rule.lhs + (attr,)))
         groups: dict[tuple, dict[str, int]] = {}
         total = 0
         for r in range(len(table.rows)):
@@ -268,7 +268,7 @@ def estimate_confidence(rule: Rule, table: Table) -> dict[str, float]:
 
 @dataclass
 class RuleSet:
-    """Rules plus one confidence per (rule id, RHS attribute) edge."""
+    """Rules plus one confidence in [0, 1] per (rule id, RHS attribute) edge."""
 
     rules: list[Rule]
     confidences: dict[tuple[str, str], float] = field(default_factory=dict)
@@ -278,6 +278,14 @@ class RuleSet:
         if len(set(ids)) != len(ids):
             raise RuleParseError("duplicate rule ids in rule set")
         self._by_id = {r.id: r for r in self.rules}
+        for rule in self.rules:
+            for attr in rule.rhs:
+                weight = self.confidences.get((rule.id, attr))
+                if weight is None or not 0.0 <= weight <= 1.0:
+                    raise RuleError(
+                        f"rule {rule.id}: edge weight into {attr} must be in [0, 1], "
+                        f"got {weight}"
+                    )
 
     @classmethod
     def estimate(cls, rules: Sequence[Rule], table: Table) -> "RuleSet":

@@ -16,10 +16,12 @@ import math
 import random
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover
     from .rules import Rule
+
+T = TypeVar("T")
 
 MISSING = None
 """Marker for an absent cell value, distinct from the empty string."""
@@ -173,9 +175,28 @@ def write_ground_truth(entries: Sequence[MaskedCell], path: str | Path) -> None:
     )
 
 
-def read_ground_truth(path: str | Path) -> list[MaskedCell]:
+def read_json_list(path: str | Path, kind: str, build: Callable[[dict], T]) -> list[T]:
+    """``build`` applied to each entry of a JSON list file.
+
+    A file that is not a list, or an entry ``build`` rejects (KeyError,
+    TypeError, ValueError), is a ValueError naming the file and the entry.
+    """
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [MaskedCell(int(d["row"]), d["attr"], d["value"]) for d in data]
+    if not isinstance(data, list):
+        raise ValueError(f"{path}: expected a JSON list of {kind} entries")
+    entries = []
+    for i, d in enumerate(data):
+        try:
+            entries.append(build(d))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: bad {kind} entry {i}: {exc!r}") from None
+    return entries
+
+
+def read_ground_truth(path: str | Path) -> list[MaskedCell]:
+    return read_json_list(
+        path, "ground-truth", lambda d: MaskedCell(int(d["row"]), d["attr"], d["value"])
+    )
 
 
 def mask_random(

@@ -205,8 +205,14 @@ def test_bad_config_file_is_usage_error(tmp_path, capsys, text):
         ({"dictionaries": {"Location": 3}}, "dictionaries"),
         ({"pattern_cache": 5}, "pattern_cache"),
         ({"reiterate": "no"}, "reiterate"),
+        ({"pages": 2.5}, "pages"),
+        ({"pages": "5"}, "pages"),
+        ({"bayes_threshold": True}, "bayes_threshold"),
     ],
-    ids=["dictionaries-path-not-a-string", "pattern-cache-number", "reiterate-string"],
+    ids=[
+        "dictionaries-path-not-a-string", "pattern-cache-number", "reiterate-string",
+        "pages-float", "pages-string", "bayes-threshold-bool",
+    ],
 )
 def test_wrongly_typed_config_value_is_usage_error(tmp_path, capsys, settings, key):
     config = tmp_path / "cfg.json"
@@ -224,6 +230,42 @@ def test_wrongly_typed_config_value_is_usage_error(tmp_path, capsys, settings, k
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and key in errors[0]
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ('{"a": 1}', "JSON list"),
+        ('[{"attr1": "Arena", "context": ["x"], "direction": "forward", "support": 2}]',
+         "entry 0"),
+    ],
+    ids=["not-a-list", "entry-without-attr2"],
+)
+def test_malformed_pattern_cache_is_data_error(tmp_path, capsys, text, where):
+    cache = tmp_path / "patterns.json"
+    cache.write_text(text, encoding="utf-8")
+    code = run(
+        "impute",
+        "--table", str(DATA / "nba.csv"),
+        "--rules", str(DATA / "nba.rules"),
+        "--corpus", str(DATA / "nba_corpus.jsonl"),
+        "--patterns", str(cache),
+        "--out", str(tmp_path / "out.csv"),
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and str(cache) in errors[0] and where in errors[0]
+
+
+def test_ground_truth_entry_without_row_is_data_error(tmp_path, capsys):
+    truth = tmp_path / "truth.json"
+    truth.write_text('[{"attr": "Team", "value": "x"}]', encoding="utf-8")
+    code = run("eval", "--table", str(DATA / "nba.csv"), "--truth", str(truth))
+    err = capsys.readouterr().err
+    assert code == 2
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and str(truth) in errors[0] and "entry 0" in errors[0]
 
 
 def test_missing_config_file_is_data_error(tmp_path):

@@ -1,7 +1,39 @@
 import random
 
+from oracles import random_bayes_case, random_ranked_sink_case
+
 from webimpute import RuleSet, Table, build_dependency_graph, export_dot, parse_rules
 from webimpute.depgraph import ATTRIBUTE, CONDITION, LOGIC
+from webimpute.tabular import MISSING
+
+NBA_DOT = """\
+digraph sdg {
+  "a_Arena" [label="Arena" shape=ellipse];
+  "a_Capacity" [label="Capacity" shape=ellipse];
+  "a_Location" [label="Location" shape=ellipse];
+  "a_Start-End" [label="Start-End" shape=ellipse];
+  "a_Team" [label="Team" shape=ellipse];
+  "l_f2" [label="f2" shape=box];
+  "l_f3" [label="f3" shape=box];
+  "l_f6" [label="f6" shape=box];
+  "c_Coach=A.Hannum" [label="Coach=A.Hannum" shape=diamond];
+  "a_Arena" -> "a_Capacity" [label="f1:1"];
+  "a_Arena" -> "a_Location" [label="f1:1"];
+  "a_Arena" -> "a_Team" [label="f4:0.8"];
+  "a_Arena" -> "l_f2" [label="f2:1"];
+  "a_Capacity" -> "a_Location" [label="f5:0.7"];
+  "a_Start-End" -> "l_f2" [label="f2:1"];
+  "a_Start-End" -> "l_f3" [label="f3:1"];
+  "a_Start-End" -> "l_f6" [label="f6:1"];
+  "a_Team" -> "l_f3" [label="f3:1"];
+  "c_Coach=A.Hannum" -> "l_f6" [label="f6:1"];
+  "l_f2" -> "a_Capacity" [label="f2:1"];
+  "l_f2" -> "a_Location" [label="f2:1"];
+  "l_f2" -> "a_Team" [label="f2:1"];
+  "l_f3" -> "a_Arena" [label="f3:1"];
+  "l_f6" -> "a_Team" [label="f6:1"];
+}
+"""
 
 
 def make_ruleset(text, table):
@@ -108,3 +140,46 @@ def test_rules_sharing_attributes_share_nodes(nba_table):
     )
     location_nodes = [n for n in graph.nodes if n.label == "Location"]
     assert len(location_nodes) == 1
+
+
+def test_nba_dot_text_is_pinned(nba_graph):
+    assert export_dot(nba_graph) == NBA_DOT
+
+
+def test_logic_nodes_are_the_junction_applications(nba_graph):
+    junctions = {
+        app.rule_id
+        for attr in ("Arena", "Location", "Capacity", "Team")
+        for app in nba_graph.applications_into(attr)
+        if app.junction
+    }
+    assert junctions == {n.label for n in nba_graph.logic_nodes()} == {"f2", "f3", "f6"}
+
+
+def _feasible_by_brute_force(graph, table, row, attr):
+    expected = []
+    for app in graph.applications_into(attr):
+        if any(table.cell(row, a) != literal for a, literal in app.conditions):
+            continue
+        missing = [d for d in app.determinants if table.cell(row, d) is MISSING]
+        expected.append((app, missing))
+    return expected
+
+
+def test_feasible_matches_brute_force_on_random_cases():
+    rng = random.Random(11)
+    seen = {"condition fails": 0, "determinant missing": 0, "all present": 0}
+    for _ in range(300):
+        for table, ruleset in (
+            random_ranked_sink_case(rng)[:2],
+            random_bayes_case(rng)[:2],
+        ):
+            graph = build_dependency_graph(ruleset)
+            for row in range(len(table.rows)):
+                for attr in table.columns:
+                    found = graph.feasible(table, row, attr)
+                    assert found == _feasible_by_brute_force(graph, table, row, attr)
+                    seen["condition fails"] += len(graph.applications_into(attr)) - len(found)
+                    for _, missing in found:
+                        seen["determinant missing" if missing else "all present"] += 1
+    assert min(seen.values()) >= 50, seen

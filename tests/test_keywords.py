@@ -274,8 +274,6 @@ def test_limit_must_be_positive(nba_graph, nba_after_internal):
 
 def test_edge_weight_above_one_rejected():
     # the weight bound needs every confidence in [0, 1]
-    table = make_table(["A", "B"], [["a1", MISSING]])
     rules = parse_rules("r: A -> B")
-    graph = build_dependency_graph(RuleSet(rules, {("r", "B"): 1.5}))
     with pytest.raises(ValueError, match="edge weight"):
-        enumerate_single_sink_graphs(graph, table, 0, "B")
+        RuleSet(rules, {("r", "B"): 1.5})

@@ -198,8 +198,11 @@ class TestExtract:
     def test_pattern_not_covering_sink_rejected(self):
         pattern = Pattern("A", "B", ("in",), FORWARD, 1)
         row = make_table(["A", "B", "C"], [["a", "b", MISSING]])
-        with pytest.raises(ValueError, match="cover"):
-            extract_by_pattern(pattern, row, 0, "C", LocalCorpusProvider([]), Dictionary("C", ("x",)))
+        for sink in ("C", "A"):  # a pattern predicts only its second attribute
+            with pytest.raises(ValueError, match="cover"):
+                extract_by_pattern(
+                    pattern, row, 0, sink, LocalCorpusProvider([]), Dictionary(sink, ("x",))
+                )
 
 
 def test_mine_then_extract_round_trip():

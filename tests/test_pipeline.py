@@ -235,6 +235,13 @@ def test_config_rejects_count_below_one(field):
         ("pattern_cache", 5),
         ("reiterate", "no"),
         ("reiterate", 1),
+        ("pages", 2.5),
+        ("pages", "5"),
+        ("max_rounds", 1.5),
+        ("query_retries", True),
+        ("pattern_support", 2.0),
+        ("bayes_threshold", True),
+        ("group_threshold", "0.8"),
     ],
 )
 def test_config_rejects_wrong_types(field, value):

@@ -108,6 +108,14 @@ class TestEstimate:
         assert result == {"B": 0.0}
         assert any("confidence" in r.message for r in caplog.records)
 
+    def test_no_tuples_warning_lists_each_attribute_once(self, caplog):
+        table = make_table(["A", "B"], [["a", "b"]])
+        (rule,) = parse_rules("r: [B=zz], B -> A")
+        with caplog.at_level("WARNING", logger="webimpute.rules"):
+            assert estimate_confidence(rule, table) == {"A": 0.0}
+        (record,) = caplog.records
+        assert "['B', 'A']" in record.getMessage()
+
     def test_incomplete_tuples_excluded(self):
         table = make_table(
             ["A", "B"],
@@ -189,3 +197,12 @@ class TestRuleSet:
         rule = Rule("r", (), ("A",), ("B",))
         with pytest.raises(RuleParseError):
             RuleSet([rule, rule])
+
+    @pytest.mark.parametrize(
+        "confidences", [{}, {("r", "B"): 1.5}, {("r", "B"): -0.1}, {("r", "C"): 0.5}],
+        ids=["none", "above-one", "below-zero", "other-edge-only"],
+    )
+    def test_edge_without_valid_confidence_rejected(self, confidences):
+        (rule,) = parse_rules("r: A -> B")
+        with pytest.raises(RuleError, match="rule r: edge weight into B"):
+            RuleSet([rule], confidences)
