@@ -12,7 +12,6 @@ from .depgraph import DependencyGraph, build_dependency_graph, export_dot
 from .evalharness import Metrics, SweepResult, evaluate, run_one, sweep
 from .extract import Dictionary, avg_distance, build_dictionary, extract_by_keywords
 from .keywords import (
-    KeywordGroup,
     SinkGraph,
     enumerate_single_sink_graphs,
     render_keywords,
@@ -57,7 +56,6 @@ __all__ = [
     "Dictionary",
     "Document",
     "HttpProvider",
-    "KeywordGroup",
     "LocalCorpusProvider",
     "MISSING",
     "MaskSpec",

@@ -17,15 +17,15 @@ over the AND-OR expansion, a bounded relative of AO* search (Martelli &
 Montanari 1973, Nilsson 1980), instead of by listing them all.  ``RuleSet``
 rejects any confidence outside [0, 1], so the weight product of a partial
 subgraph bounds every completion's weight from above; the attributes that
-every / some expansion of each pending attribute adds bound a completion's
-node count and attribute set from below.  The dependency graph decides which
+every expansion of each pending attribute adds bound a completion's node
+count and attribute set from below.  The dependency graph decides which
 applications can supply an attribute (``DependencyGraph.feasible``, memoised
 per call) and which form logic nodes (``RuleApplication.junction``).
 
-The best graph is rendered into an ordered keyword list - the source values
-it recorded, in breadth-first discovery order, then condition literals, then
-the sink attribute name - and is only emitted when its weight reaches the
-group threshold.
+``select_optimal`` keeps the best graph only when its weight reaches the
+group threshold; ``render_keywords`` turns a graph into an ordered keyword
+list - the source values it recorded, in breadth-first discovery order, then
+condition literals, then the sink attribute name.
 """
 
 from __future__ import annotations
@@ -86,13 +86,6 @@ def _shape(
     return len(labels) + logic + len(conditions), tuple(sorted(labels))
 
 
-@dataclass(frozen=True)
-class KeywordGroup:
-    graph: SinkGraph
-    keywords: tuple[str, ...]
-    weight: float
-
-
 _RANK = attrgetter("rank")
 _Option = tuple[RuleApplication, list[str]]  # an application and its missing determinants
 
@@ -119,8 +112,9 @@ def enumerate_single_sink_graphs(
     completion of it can rank ahead of the last one held.  Edge weights lie in
     [0, 1] (``RuleSet`` admits no other), so the weight product so far,
     multiplied in the order the final weight is, bounds every completion's
-    weight from above; a completion that ties the last held graph on the whole
-    key comes later and loses the tie.
+    weight from above; on a weight tie, ``_beaten`` bounds the rest of the key
+    from below.  A completion that ties the last held graph on the whole key
+    comes later and loses the tie.
     """
     if table.cell(row, sink) is not MISSING:
         raise ValueError(f"cell (row {row}, {sink}) is not missing")
@@ -199,54 +193,52 @@ def _beaten(
     """Whether every completion of a branch ranks at or after ``worst``.
 
     ``weight`` is the branch's weight so far, ``chosen`` its applications and
-    ``todo`` its pending ``(attr, path)`` items.
+    ``todo`` its pending ``(attr, path)`` items.  On a weight tie: every
+    completion holds the branch's attributes and each pending attribute's
+    mandatory set, together ``labels``, plus the branch's logic and condition
+    nodes, so it has at least ``len(labels) + extra_nodes`` nodes; one with
+    exactly that many holds no other attribute.  So no completion's
+    ``(node count, attrs)`` is below ``(len(labels) + extra_nodes,
+    sorted(labels))``.
     """
     if -weight != worst[0]:
         return -weight > worst[0]
     nodes, attrs = _shape(sink, chosen.items())  # of the branch so far
     labels = set(attrs)
     extra_nodes = nodes - len(labels)  # logic and condition nodes
-    reachable: set[str] = set()
     while todo is not None:
         (attr, path), todo = todo
-        sets = _closure(attr, path, usable, closures)
-        if sets is None:
+        must = _closure(attr, path, usable, closures)
+        if must is None:
             return True  # a pending attribute cannot be derived
-        labels |= sets[0]
-        reachable |= sets[1]
-    # Every completion holds ``labels`` and nothing outside ``reachable``, so
-    # its sorted attributes are at least ``bound``.
-    top = max(labels)
-    bound = tuple(sorted(labels.union(u for u in reachable if u < top)))
-    return (len(labels) + extra_nodes, bound) >= worst[1:]
+        labels |= must
+    return (len(labels) + extra_nodes, tuple(sorted(labels))) >= worst[1:]
 
 
 def _closure(
     attr: str, path: frozenset[str], usable: Callable[[str], list[_Option]], memo: dict
-) -> tuple[set[str], set[str]] | None:
-    """Attributes that every / some expansion of ``attr`` adds, or None.
+) -> set[str] | None:
+    """Attributes that every expansion of ``attr`` adds, or None.
 
-    Cross-branch consistency is ignored, so the first set can only be too
-    small and the second too large; None means ``attr`` has no expansion.
+    Cross-branch consistency is ignored, so the set can only be too small;
+    None means ``attr`` has no expansion.
     """
     key = (attr, path)
     if key not in memo:
-        must = may = None
+        must = None
         child_path = path | {attr}
         for app, missing in usable(attr):
             if not path.isdisjoint(app.determinants):
                 continue
-            app_must, app_may = set(app.determinants), set(app.determinants)
+            app_must = set(app.determinants)
             for det in missing:
                 sub = _closure(det, child_path, usable, memo)
                 if sub is None:
                     break
-                app_must |= sub[0]
-                app_may |= sub[1]
+                app_must |= sub
             else:
                 must = app_must if must is None else must & app_must
-                may = app_may if may is None else may | app_may
-        memo[key] = None if must is None else (must, may)
+        memo[key] = must
     return memo[key]
 
 
@@ -293,8 +285,8 @@ def render_keywords(graph: SinkGraph) -> list[str]:
     return [*graph.source_values, *graph.condition_literals, graph.sink]
 
 
-def select_optimal(graphs: list[SinkGraph], K: float) -> KeywordGroup | None:
-    """The maximum-weight graph rendered as keywords, or ABSTAIN (None).
+def select_optimal(graphs: list[SinkGraph], K: float) -> SinkGraph | None:
+    """The maximum-weight graph, or ABSTAIN (None).
 
     Abstains when the list is empty or the best weight falls below ``K``.
     Ties prefer fewer nodes, then the lexicographically smallest sorted
@@ -307,4 +299,4 @@ def select_optimal(graphs: list[SinkGraph], K: float) -> KeywordGroup | None:
     best = min(graphs, key=_RANK)
     if best.weight < K:
         return ABSTAIN
-    return KeywordGroup(best, tuple(render_keywords(best)), best.weight)
+    return best

@@ -11,8 +11,14 @@ differently-phrased sentences.
 
 Qualifying contexts (support >= the threshold) are reduced to the maximal
 ones: a context contained in a longer qualifying context with the same
-anchoring is redundant and dropped.  The threshold, the number of sampled
-tuples, the pages per query and ``max_gap`` must each be at least 1.
+anchoring is redundant and dropped.  Support is anti-monotone (Agrawal &
+Srikant, "Mining Sequential Patterns", ICDE 1995): a span that counts a
+context counts every shorter context with the same anchoring.  So a
+qualifying context lies in a longer qualifying one exactly when its one-token
+extension away from the anchor qualifies, and the maximal contexts are the
+qualifying ones no qualifying context extends by one token.  The threshold,
+the number of sampled tuples, the pages per query and ``max_gap`` must each
+be at least 1.
 
 Extraction runs the mirror image and predicts only the second attribute:
 find the first attribute's known value in a document, find the context
@@ -88,11 +94,10 @@ def context_supports(
     supports: Counter = Counter()
     for r in complete[:sample]:
         v1, v2 = table.cell(r, a1), table.cell(r, a2)
-        docs = provider.query(Query((v1, v2), pages))
         seq1, seq2 = tokenize(v1), tokenize(v2)
         if not seq1 or not seq2:
-            continue
-        for doc in docs:
+            continue  # a value with no tokens never co-occurs: spare the query
+        for doc in provider.query(Query((v1, v2), pages)):
             tokens = tokenize(doc.text)
             for i in find_token_seq(tokens, seq1):
                 for j in find_token_seq(tokens, seq2):
@@ -111,15 +116,6 @@ def context_supports(
                     for ctx in anchored:
                         supports[(ctx, direction)] += 1
     return supports
-
-
-def _contained(shorter: tuple[str, ...], longer: tuple[str, ...], direction: str) -> bool:
-    """Anchored containment: suffix for forward patterns, prefix for reverse."""
-    if len(shorter) >= len(longer):
-        return False
-    if direction == FORWARD:
-        return longer[-len(shorter) :] == shorter
-    return longer[: len(shorter)] == shorter
 
 
 def mine_patterns(
@@ -141,22 +137,17 @@ def mine_patterns(
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
     supports = context_supports(provider, table, attr_pair, sample, pages, max_gap)
-    qualifying = [
-        (ctx, direction, count)
-        for (ctx, direction), count in supports.items()
-        if count >= min_support
-    ]
-    maximal = [
-        (ctx, direction, count)
-        for ctx, direction, count in qualifying
-        if not any(
-            other_dir == direction and _contained(ctx, other_ctx, direction)
-            for other_ctx, other_dir, _ in qualifying
-        )
-    ]
+    qualifying = [key for key, count in supports.items() if count >= min_support]
+    # a qualifying context covers the one it extends by one token
+    covered = {
+        (ctx[1:] if direction == FORWARD else ctx[:-1], direction)
+        for ctx, direction in qualifying
+    }
     a1, a2 = attr_pair
     patterns = [
-        Pattern(a1, a2, ctx, direction, count) for ctx, direction, count in maximal
+        Pattern(a1, a2, ctx, direction, supports[ctx, direction])
+        for ctx, direction in qualifying
+        if (ctx, direction) not in covered
     ]
     patterns.sort(key=lambda p: (-p.support, " ".join(p.context), p.direction))
     return patterns
@@ -224,6 +215,11 @@ def save_patterns(patterns: Sequence[Pattern], path: str | Path) -> None:
 
 
 def load_patterns(path: str | Path) -> list[Pattern]:
-    return read_json_list(path, "pattern", lambda d: Pattern(
-        d["attr1"], d["attr2"], tuple(d["context"]), d["direction"], int(d["support"])
-    ))
+    return read_json_list(path, "pattern", _pattern_from_dict)
+
+
+def _pattern_from_dict(d: dict) -> Pattern:
+    context = d["context"]
+    if not isinstance(context, list) or not all(isinstance(t, str) for t in context):
+        raise ValueError(f"context must be a list of strings, got {context!r}")
+    return Pattern(d["attr1"], d["attr2"], tuple(context), d["direction"], int(d["support"]))

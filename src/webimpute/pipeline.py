@@ -23,7 +23,12 @@ from pathlib import Path
 from .bayes import BayesDecision, impute_internal
 from .depgraph import build_dependency_graph
 from .extract import Dictionary, build_dictionary, extract_by_keywords
-from .keywords import KeywordGroup, enumerate_single_sink_graphs, select_optimal
+from .keywords import (
+    SinkGraph,
+    enumerate_single_sink_graphs,
+    render_keywords,
+    select_optimal,
+)
 from .patterns import (
     MAX_GAP,
     MiningError,
@@ -230,7 +235,7 @@ def _mine_needed_patterns(
 
 def _extract_cell(
     cell: tuple[int, str],
-    group: KeywordGroup,
+    graph: SinkGraph,
     alternatives: list[dict],
     table: Table,
     provider: SearchProvider,
@@ -239,15 +244,16 @@ def _extract_cell(
     dictionary: Dictionary,
 ) -> CellOutcome:
     row, attr = cell
+    keywords = render_keywords(graph)
     base = dict(
         row=row,
         attr=attr,
-        keyword_group=list(group.keywords),
-        group_weight=group.weight,
+        keyword_group=keywords,
+        group_weight=graph.weight,
         alternatives=alternatives,
     )
     try:
-        for source in group.graph.source_attrs:
+        for source in graph.source_attrs:
             for pattern in patterns.get((source, attr), ()):
                 value = extract_by_pattern(
                     pattern,
@@ -266,8 +272,8 @@ def _extract_cell(
                         pattern=pattern.to_dict(),
                         **base,
                     )
-        documents = provider.query(Query(tuple(group.keywords), config.pages))
-        value = extract_by_keywords(documents, list(group.keywords), dictionary)
+        documents = provider.query(Query(tuple(keywords), config.pages))
+        value = extract_by_keywords(documents, keywords, dictionary)
         if value is not None:
             return CellOutcome(outcome=FILLED_KEYWORD, value=value, **base)
         return CellOutcome(outcome=ABSTAINED, reason="no extraction", **base)
@@ -306,26 +312,26 @@ def impute(
             )
 
     # Keyword planning against the phase-1 snapshot.
-    plans: dict[tuple[int, str], tuple[KeywordGroup, list[dict]]] = {}
+    plans: dict[tuple[int, str], tuple[SinkGraph, list[dict]]] = {}
     for row, attr in initial_missing:
         if (row, attr) in outcomes:
             continue
         # the best 8 subgraphs: the first is the plan, all are its alternatives
         graphs = enumerate_single_sink_graphs(graph, internal_table, row, attr)
-        group = select_optimal(graphs, config.group_threshold)
+        best = select_optimal(graphs, config.group_threshold)
         alternatives = [{"weight": g.weight, "attrs": list(g.attrs)} for g in graphs]
-        if group is None:
+        if best is None:
             reason = "below K" if graphs else "no feasible keyword group"
             outcomes[(row, attr)] = CellOutcome(
                 row, attr, ABSTAINED, reason=reason, alternatives=alternatives
             )
         else:
-            plans[(row, attr)] = (group, alternatives)
+            plans[(row, attr)] = (best, alternatives)
 
     needed_pairs = sorted({
         (source, attr)
-        for (_, attr), (group, _) in plans.items()
-        for source in group.graph.source_attrs
+        for (_, attr), (best, _) in plans.items()
+        for source in best.source_attrs
     })
     mined = _mine_needed_patterns(needed_pairs, internal_table, provider, config)
 
@@ -338,9 +344,9 @@ def impute(
 
     fills = []
     for cell in sorted(plans):
-        group, alternatives = plans[cell]
+        best, alternatives = plans[cell]
         outcome = _extract_cell(
-            cell, group, alternatives, internal_table, provider, config,
+            cell, best, alternatives, internal_table, provider, config,
             mined, dictionaries[cell[1]],
         )
         outcomes[cell] = outcome

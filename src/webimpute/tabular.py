@@ -178,10 +178,14 @@ def write_ground_truth(entries: Sequence[MaskedCell], path: str | Path) -> None:
 def read_json_list(path: str | Path, kind: str, build: Callable[[dict], T]) -> list[T]:
     """``build`` applied to each entry of a JSON list file.
 
-    A file that is not a list, or an entry ``build`` rejects (KeyError,
-    TypeError, ValueError), is a ValueError naming the file and the entry.
+    A file that is not UTF-8 JSON or not a list, or an entry ``build``
+    rejects (KeyError, TypeError, ValueError), is a ValueError naming the
+    file and, for an entry, the entry.
     """
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValueError(f"{path}: not a UTF-8 JSON file: {exc}") from None
     if not isinstance(data, list):
         raise ValueError(f"{path}: expected a JSON list of {kind} entries")
     entries = []

@@ -4,7 +4,8 @@ These deliberately avoid the library's internal machinery: frequencies are
 counted with plain loops, the best evidence subgraph is found by
 enumerating every assignment of rules to missing attributes, the ranked
 subgraph list comes from listing every feasible subgraph, and retrieval
-scans every document for every keyword.  They exist so the real
+scans every document for every keyword, and maximal patterns come from
+comparing every pair of qualifying contexts.  They exist so the real
 implementations can be checked against something that cannot share their
 bugs.
 """
@@ -14,8 +15,9 @@ from __future__ import annotations
 import itertools
 import random
 
-from webimpute import Document, Query, Rule, RuleSet, Table
+from webimpute import Document, LocalCorpusProvider, Pattern, Query, Rule, RuleSet, Table
 from webimpute.keywords import SinkGraph
+from webimpute.patterns import FORWARD
 from webimpute.tabular import MISSING
 from webimpute.textutil import tokenize
 
@@ -159,6 +161,62 @@ def random_corpus_case(rng: random.Random):
             keywords.append(keywords[0])  # duplicate keyword
         queries.append(Query(tuple(keywords), rng.randint(1, 3)))
     return docs, queries, rng.randint(1, 4)
+
+
+def maximal_patterns_oracle(supports, attr_pair, min_support: int) -> list[Pattern]:
+    """Maximal qualifying patterns by comparing every pair of contexts.
+
+    ``supports`` maps ``(context, direction)`` to its count.  A qualifying
+    context is dropped when a longer qualifying context with the same
+    direction ends with it (forward) or starts with it (reverse).
+    """
+
+    def contained(shorter, longer, direction):
+        if len(shorter) >= len(longer):
+            return False
+        if direction == FORWARD:
+            return longer[-len(shorter) :] == shorter
+        return longer[: len(shorter)] == shorter
+
+    qualifying = [(c, d, n) for (c, d), n in supports.items() if n >= min_support]
+    a1, a2 = attr_pair
+    patterns = [
+        Pattern(a1, a2, ctx, direction, count)
+        for ctx, direction, count in qualifying
+        if not any(
+            other_dir == direction and contained(ctx, other, direction)
+            for other, other_dir, _ in qualifying
+        )
+    ]
+    patterns.sort(key=lambda p: (-p.support, " ".join(p.context), p.direction))
+    return patterns
+
+
+def random_mining_case(rng: random.Random):
+    """A two-column table of clean tuples and a corpus relating them.
+
+    Documents join the row's two values in either order with zero to ten
+    words from a small vocabulary between them, so contexts repeat and nest;
+    some values are multi-token, some rows share a value, and one row in
+    ten has a punctuation-only value that never tokenizes.
+    """
+    names = ["red", "blue", "green", "stone", "river", "oak", "pine"]
+    filler = ["of", "the", "in", "by", "is", "near", "and"]
+
+    def value():
+        if rng.random() < 0.1:
+            return "--"
+        return " ".join(rng.sample(names, rng.choice([1, 1, 2])))
+
+    rows = [[value(), value()] for _ in range(rng.randint(1, 6))]
+    docs = []
+    for i, (v1, v2) in enumerate(rows):
+        for j in range(rng.randint(1, 4)):
+            between = " ".join(rng.choice(filler) for _ in range(rng.randint(0, 10)))
+            first, second = (v1, v2) if rng.random() < 0.5 else (v2, v1)
+            lead = rng.choice(["", "so", "then the"])
+            docs.append((f"d{i}-{j}", f"{lead} {first} {between} {second}."))
+    return Table("pairs", ["A", "B"], rows), LocalCorpusProvider(docs)
 
 
 def best_weight_oracle(table: Table, ruleset: RuleSet, row: int, sink: str):

@@ -50,6 +50,27 @@ class TestExitCodes:
         assert exc.value.code == 0
 
 
+def test_readme_quick_start_forms_agree(tmp_path, monkeypatch, capsys):
+    # both quick-start commands of the README, run from the repository root
+    monkeypatch.chdir(DATA.parent)
+    common = ("impute", "--table", "data/nba.csv", "--rules", "data/nba.rules")
+    flags = (
+        "--corpus", "data/nba_corpus.jsonl", "--k", "0.5", "--K", "0.8", "--Q", "2",
+        "--dict", "Location=data/nba_location.dict",
+    )
+    runs = []
+    for name, extra in [("flags", flags), ("config", ("--config", "data/nba.config.json"))]:
+        out, report = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+        assert run(*common, *extra, "--out", str(out), "--report", str(report)) == 0
+        printed = capsys.readouterr().out
+        outcomes = json.loads(report.read_text(encoding="utf-8"))["outcomes"]
+        runs.append((out.read_bytes(), outcomes, printed))
+    assert runs[0] == runs[1]
+    assert runs[0][2] == (
+        "10 missing: abstained=5, filled-internal=2, filled-keyword=1, filled-pattern=2\n"
+    )
+
+
 def test_sdg_exports_dot(tmp_path):
     dot = tmp_path / "g.dot"
     code = run(
@@ -238,8 +259,11 @@ def test_wrongly_typed_config_value_is_usage_error(tmp_path, capsys, settings, k
         ('{"a": 1}', "JSON list"),
         ('[{"attr1": "Arena", "context": ["x"], "direction": "forward", "support": 2}]',
          "entry 0"),
+        ("", "not a UTF-8 JSON file"),
+        ('[{"attr1": "Arena", "attr2": "Location", "context": "in the", '
+         '"direction": "forward", "support": 2}]', "entry 0"),
     ],
-    ids=["not-a-list", "entry-without-attr2"],
+    ids=["not-a-list", "entry-without-attr2", "empty-file", "string-context"],
 )
 def test_malformed_pattern_cache_is_data_error(tmp_path, capsys, text, where):
     cache = tmp_path / "patterns.json"

@@ -21,6 +21,7 @@ from webimpute import (
     render_keywords,
     select_optimal,
 )
+from webimpute import keywords
 
 
 def make_table(columns, rows):
@@ -98,8 +99,8 @@ class TestSelect:
         graphs = enumerate_single_sink_graphs(nba_graph, nba_after_internal, 4, "Location")
         group = select_optimal(graphs, 0.8)
         assert group.weight == 1.0
-        assert group.graph.attrs == ("Arena", "Location")
-        assert group.keywords == ("WheatonFieldHouse", "Location")
+        assert group.attrs == ("Arena", "Location")
+        assert tuple(render_keywords(group)) == ("WheatonFieldHouse", "Location")
         rejected = [g for g in graphs if g.weight == 0.7]
         assert rejected  # enumerated, but below the winner
 
@@ -265,6 +266,43 @@ def test_attribute_bound_ignores_reachable_attributes_above_the_mandatory():
     assert [g.attrs for g in ranked[:2]] == [("A", "B", "D"), ("A", "B", "C")]
     for n in (1, 2, 3):
         assert enumerate_single_sink_graphs(graph, table, 0, "B", limit=n) == ranked[:n]
+
+
+def test_bound_uses_only_mandatory_attributes(monkeypatch):
+    # A <- r1 yields (A, B, C, G) first.  Every completion of the duplicate
+    # A <- r2 branch holds A, B, C and G (G through C's mandatory set), so it
+    # at best ties and loses the tie.  C <- r4 could add F, which sorts below
+    # G, but a completion holding F also has more nodes, so the branch is
+    # cut as soon as A <- r2 is chosen, and nothing of it is finished.
+    table = make_table(["A", "B", "C", "F", "G"], [[MISSING, MISSING, MISSING, "f", "g"]])
+    ruleset, graph = setup_graph(
+        "r1: B, C -> A @ 1.0\n"
+        "r2: B, C -> A @ 1.0\n"
+        "r3: G -> C @ 1.0\n"
+        "r4: F, G -> C @ 1.0\n"
+        "r5: C -> B @ 1.0",
+        table,
+    )
+    finalized, cut = [], []
+    finalize, beaten = keywords._finalize, keywords._beaten
+
+    def counting_finalize(*args):
+        finalized.append(args)
+        return finalize(*args)
+
+    def recording_beaten(worst, weight, sink, chosen, *rest):
+        result = beaten(worst, weight, sink, chosen, *rest)
+        if result:
+            cut.append({attr: app.rule_id for attr, app in chosen.items()})
+        return result
+
+    monkeypatch.setattr(keywords, "_finalize", counting_finalize)
+    monkeypatch.setattr(keywords, "_beaten", recording_beaten)
+    got = enumerate_single_sink_graphs(graph, table, 0, "A", limit=1)
+    assert got == sink_graphs_oracle(graph, table, 0, "A")[:1]
+    assert got[0].attrs == ("A", "B", "C", "G")
+    assert len(finalized) == 1
+    assert {"A": "r2"} in cut
 
 
 def test_limit_must_be_positive(nba_graph, nba_after_internal):

@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
+from oracles import maximal_patterns_oracle, random_mining_case
 from webimpute import (
     Dictionary,
     LocalCorpusProvider,
@@ -18,6 +20,18 @@ from webimpute.tabular import MISSING
 
 def make_table(columns, rows):
     return Table("t", list(columns), [list(r) for r in rows])
+
+
+class CountingProvider:
+    """Records the keywords of every query, then delegates."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.queries = []
+
+    def query(self, q):
+        self.queries.append(q.keywords)
+        return self.inner.query(q)
 
 
 @pytest.fixture
@@ -131,6 +145,34 @@ class TestMine:
         counts = {"min_support": 2, name: value}
         with pytest.raises(ValueError, match=name):
             mine_patterns(provider, table, ("principal", "university"), **counts)
+
+    def test_value_without_tokens_costs_no_query(self):
+        table = make_table(["A", "B"], [["alpha", "--"], ["gamma", "delta"]])
+        provider = CountingProvider(
+            LocalCorpusProvider([("d1", "alpha -- beta"), ("d2", "gamma in delta")])
+        )
+        supports = context_supports(provider, table, ("A", "B"), sample=5, pages=1)
+        assert provider.queries == [("gamma", "delta")]
+        assert supports == Counter({(("in",), FORWARD): 1})
+
+
+def test_maximal_patterns_match_pairwise_oracle_on_random_corpora():
+    rng = random.Random(6060)
+    covered = Counter()  # qualifying contexts dropped as non-maximal, per direction
+    for case in range(150):
+        table, provider = random_mining_case(rng)
+        pair, sample, pages = ("A", "B"), rng.randint(1, 6), rng.randint(1, 2)
+        for max_gap in range(1, 9):
+            supports = context_supports(provider, table, pair, sample, pages, max_gap)
+            for min_support in (1, 2, 3):
+                got = mine_patterns(provider, table, pair, min_support, sample, pages, max_gap)
+                expected = maximal_patterns_oracle(supports, pair, min_support)
+                assert got == expected, (case, max_gap, min_support)
+                for (_, direction), count in supports.items():
+                    covered[direction] += count >= min_support
+                for p in got:
+                    covered[p.direction] -= 1
+    assert covered[FORWARD] >= 20 and covered[REVERSE] >= 20, covered
 
 
 class TestExtract:
