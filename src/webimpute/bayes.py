@@ -17,6 +17,11 @@ candidate set and the best candidate is written back when its posterior
 reaches the threshold; otherwise the cell abstains and is left for web-based
 imputation.
 
+Every candidate is reported, most of them with a zero joint.  Those zero
+scores are built once per count table and round (``zero_scores``); a
+decision copies that template and writes in only its nonzero joints, so it
+costs one new :class:`CandidateScore` per nonzero joint, not per candidate.
+
 The table is swept repeatedly (a fill can unlock evidence for another cell)
 until a sweep fills nothing or ``max_rounds`` is hit.
 """
@@ -24,6 +29,7 @@ until a sweep fills nothing or ``max_rounds`` is hit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .depgraph import DependencyGraph, RuleApplication
 from .rules import conditions_hold
@@ -47,6 +53,10 @@ class BayesDecision:
     ``chosen`` is the filled value, or :data:`ABSTAIN` (None) when the best
     posterior fell short of ``threshold`` or no rule was applicable
     (``rule_id`` None, empty candidates).
+
+    ``candidates`` holds one score per candidate in sorted order.  The list is
+    the decision's own, but its zero-joint entries are frozen objects shared
+    by every decision of the round drawn from the same count table.
     """
 
     row: int
@@ -129,6 +139,16 @@ class _FrequencyCounts:
                 counts[d] = counts.get(d, 0) + 1
         return cls(sorted(present), total, target, pair)
 
+    @cached_property
+    def zero_scores(self) -> tuple[CandidateScore, ...]:
+        """A zero score per candidate, in order: the template of every decision."""
+        return tuple(CandidateScore(d, 0.0, 0.0) for d in self.candidates)
+
+    @cached_property
+    def position(self) -> dict[str, int]:
+        """Candidate -> index in :attr:`candidates`."""
+        return {d: i for i, d in enumerate(self.candidates)}
+
     def joints(self, evidence: list[tuple[str, str]]) -> dict[str, float]:
         """The nonzero joints P(d) * prod P(v | d), by candidate.
 
@@ -162,20 +182,22 @@ def _decide_cell(
     if counts is None:
         counts = _FrequencyCounts.build(table, attr, app.determinants, app.conditions)
         cache[key] = counts
-    nonzero = counts.joints([(a, table.cell(row, a)) for a in app.determinants])
-    joints = [nonzero.get(d, 0.0) for d in counts.candidates]
-    total = sum(joints)
-    scored = [
-        CandidateScore(d, j, j / total if total > 0 else 0.0)
-        for d, j in zip(counts.candidates, joints)
-    ]
+    evidence = [(a, table.cell(row, a)) for a in app.determinants]
+    nonzero = sorted(counts.joints(evidence).items())
+    # summed in candidate order; the zeros left out add nothing, exactly
+    total = sum(j for _, j in nonzero)
+    candidates = list(counts.zero_scores)
     chosen = None
-    if total > 0:
-        # candidates are sorted, so equal posteriors break on the lowest value
+    if total > 0:  # a joint can underflow to 0.0, so a nonempty map can sum to 0
+        scored = [CandidateScore(d, j, j / total) for d, j in nonzero]
+        for score in scored:
+            candidates[counts.position[score.value]] = score
+        # scored is in candidate order, so equal posteriors break on the lowest
+        # value, and the best posterior is positive, above every zero's
         best = max(scored, key=lambda c: c.posterior)
         if best.posterior >= k:
             chosen = best.value
-    return BayesDecision(row, attr, app.rule_id, scored, chosen, k)
+    return BayesDecision(row, attr, app.rule_id, candidates, chosen, k)
 
 
 def impute_internal(

@@ -20,7 +20,10 @@ from webimpute import (
     impute_internal,
     parse_rules,
 )
-from webimpute.rules import conditions_hold
+from webimpute.bayes import BayesDecision, CandidateScore
+from webimpute.rules import conditions_hold, parse_rules_file
+from webimpute.synth import write_university_fixture
+from webimpute.tabular import MaskSpec, load_table, mask_random
 
 
 def make_table(columns, rows):
@@ -204,6 +207,66 @@ class TestImputeInternal:
         with pytest.raises(ValueError):
             impute_internal(nba_table, nba_graph, 1.5)
 
+    def test_underflowed_joint_abstains(self):
+        # x1 is certain, but its joint 1000/1000 * (1/1000)^110 underflows to
+        # 0.0: the nonzero map holds one 0.0 and the cell abstains
+        attrs = [f"A{i}" for i in range(110)]
+        rows = [["v"] * 110 + ["x1"]]
+        rows += [[f"u{r}"] * 110 + ["x1"] for r in range(1, 1000)]
+        rows += [["v"] * 110 + [MISSING]]
+        table = make_table(attrs + ["X"], rows)
+        ruleset, graph = setup_ruleset(f"r: {', '.join(attrs)} -> X", table)
+        filled, decisions = impute_internal(table, graph, 0.5)
+        assert filled.cell(1000, "X") is MISSING
+        assert decisions == [
+            BayesDecision(1000, "X", "r", [CandidateScore("x1", 0.0, 0.0)], None, 0.5)
+        ]
+
+    def test_decisions_sharing_a_count_table_own_their_candidates(self):
+        # rows 3-5 are decided from one count table in one round: row 3 with
+        # a nonzero joint, rows 4 and 5 with every joint zero
+        table = make_table(
+            ["A", "B"],
+            [
+                ["a1", "b1"], ["a1", "b1"], ["a2", "b2"],
+                ["a1", MISSING], ["a8", MISSING], ["a9", MISSING],
+            ],
+        )
+        ruleset, graph = setup_ruleset("r: A -> B", table)
+        _, decisions = impute_internal(table, graph, 0.5, max_rounds=1)
+        assert [(d.row, d.chosen) for d in decisions] == [(3, "b1"), (4, None), (5, None)]
+        expected = [d.to_dict() for d in decisions]
+        filled, zero, other_zero = decisions
+        zero.candidates.clear()
+        filled.candidates[1] = CandidateScore("b2", 1.0, 1.0)
+        assert other_zero.to_dict() == expected[2]
+        other_zero.candidates[0] = CandidateScore("b1", 1.0, 1.0)
+        _, again = impute_internal(table, graph, 0.5, max_rounds=1)
+        assert [d.to_dict() for d in again] == expected
+
+    def test_zero_scores_are_built_once_per_count_table(self, tmp_path, monkeypatch):
+        # 1000 university rows, 900 masked cells: every decision of a round
+        # copies one zero template per rule, so the scores built grow with
+        # the nonzero joints, not with rows x masked cells (one score per
+        # candidate and cell would be 276,916)
+        paths = write_university_fixture(tmp_path, rows=1000, seed=7)
+        table = load_table(paths["table"])
+        ruleset = RuleSet.estimate(parse_rules_file(paths["rules"]), table)
+        spec = MaskSpec(0.3, 7, frozenset({"University"}))
+        masked, _ = mask_random(table, spec, rules=ruleset.rules)
+        built = 0
+        init = CandidateScore.__init__
+
+        def counting_init(self, *args):
+            nonlocal built
+            built += 1
+            init(self, *args)
+
+        monkeypatch.setattr(CandidateScore, "__init__", counting_init)
+        _, decisions = impute_internal(masked, build_dependency_graph(ruleset), 0.5)
+        assert len(decisions) == 900
+        assert built <= 2000
+
 
 def test_derived_fixture_matches_oracle():
     # 6-row, 3-attribute table with one masked cell, checked by hand-style
@@ -277,9 +340,13 @@ def test_count_table_matches_oracle_on_random_tables():
                 seen["two-attribute LHS"] += len(rule.lhs) == 2
                 seen["tie"] += len(top) == 2 and top[0] == top[1] > 0
                 seen["later round"] += round_no > 0
+                zeros = sum(j == 0 for j in joints.values())
+                seen["all zero"] += 0 < zeros == len(joints)
+                seen["mixed"] += 0 < zeros < len(joints)
             if all(d.chosen is None for d in decisions):
                 break
             table = filled
     assert min(seen[key] for key in (
-        "uncounted candidate", "conditional", "two-attribute LHS", "tie", "later round"
+        "uncounted candidate", "conditional", "two-attribute LHS", "tie", "later round",
+        "all zero", "mixed",
     )) >= 20, seen
