@@ -25,9 +25,11 @@ from .providers import HttpProvider, LocalCorpusProvider
 from .rules import RuleSet, parse_rules_file
 from .tabular import (
     MaskSpec,
+    dump_json,
     load_table,
     mask_random,
     read_ground_truth,
+    read_text,
     write_ground_truth,
     write_table,
 )
@@ -137,7 +139,7 @@ def _build_parser() -> _Parser:
 def _read_config_file(path: str) -> dict:
     """The JSON object in a ``--config`` file; anything else is a usage error."""
     try:
-        base = json.loads(Path(path).read_text(encoding="utf-8"))
+        base = json.loads(read_text(path))
     except ValueError as exc:  # malformed JSON or not UTF-8
         raise _UsageError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(base, dict):
@@ -265,7 +267,7 @@ def _cmd_eval(args) -> int:
     imputed = load_table(args.table)
     truth = read_ground_truth(args.truth)
     metrics = evaluate(truth, imputed)
-    text = json.dumps(metrics.to_dict(), indent=2, sort_keys=True) + "\n"
+    text = dump_json(metrics.to_dict())
     if args.report:
         Path(args.report).write_text(text, encoding="utf-8")
     else:
@@ -336,8 +338,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print("run 'webimpute --help' for usage", file=sys.stderr)
         return USAGE_ERROR
-    except FileNotFoundError as exc:
-        print(f"error: missing input file: {exc.filename or exc}", file=sys.stderr)
+    except OSError as exc:  # a missing, unreadable or unwritable path
+        where = f"{exc.filename}: {exc.strerror}" if exc.filename is not None else exc
+        print(f"error: {where}", file=sys.stderr)
         return DATA_ERROR
     except ValueError as exc:  # TableError, RuleParseError, MiningError, bad JSON
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .providers import Document
-from .tabular import MISSING, Table
+from .tabular import MISSING, Table, read_text
 from .textutil import find_token_seq, normalize, tokenize
 
 log = logging.getLogger(__name__)
@@ -97,7 +97,7 @@ def build_dictionary(
     col = table.column_index(attr)
     values = {row[col] for row in table.rows if row[col] is not MISSING}
     if extra is not None:
-        for line in Path(extra).read_text(encoding="utf-8").splitlines():
+        for line in read_text(extra).splitlines():
             line = line.strip()
             if line:
                 values.add(line)

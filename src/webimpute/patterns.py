@@ -28,7 +28,6 @@ token span through the second attribute's dictionary.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,7 +35,7 @@ from typing import Sequence
 
 from .extract import Dictionary
 from .providers import Query, SearchProvider
-from .tabular import MISSING, Table, read_json_list
+from .tabular import MISSING, Table, dump_json, read_json_list
 from .textutil import find_token_seq, tokenize
 
 MAX_GAP = 8
@@ -63,6 +62,8 @@ class Pattern:
             raise ValueError("pattern context must be non-empty")
         if self.direction not in (FORWARD, REVERSE):
             raise ValueError(f"bad direction {self.direction!r}")
+        if type(self.support) is not int or {type(self.attr1), type(self.attr2)} != {str}:
+            raise TypeError(f"support must be an integer and attr1, attr2 strings: {self}")
 
     def to_dict(self) -> dict:
         return {
@@ -207,11 +208,7 @@ def extract_by_pattern(
 
 
 def save_patterns(patterns: Sequence[Pattern], path: str | Path) -> None:
-    data = [p.to_dict() for p in patterns]
-    Path(path).write_text(
-        json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    Path(path).write_text(dump_json([p.to_dict() for p in patterns]), encoding="utf-8")
 
 
 def load_patterns(path: str | Path) -> list[Pattern]:
@@ -222,4 +219,4 @@ def _pattern_from_dict(d: dict) -> Pattern:
     context = d["context"]
     if not isinstance(context, list) or not all(isinstance(t, str) for t in context):
         raise ValueError(f"context must be a list of strings, got {context!r}")
-    return Pattern(d["attr1"], d["attr2"], tuple(context), d["direction"], int(d["support"]))
+    return Pattern(d["attr1"], d["attr2"], tuple(context), d["direction"], d["support"])

@@ -13,7 +13,6 @@ run.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import time
@@ -40,7 +39,7 @@ from .patterns import (
 )
 from .providers import ProviderError, Query, SearchProvider
 from .rules import RuleSet
-from .tabular import Table
+from .tabular import Table, dump_json
 
 log = logging.getLogger(__name__)
 
@@ -165,15 +164,7 @@ class RunReport:
         return data
 
     def to_json(self, include_timings: bool = True) -> str:
-        return (
-            json.dumps(
-                self.to_dict(include_timings),
-                indent=2,
-                sort_keys=True,
-                ensure_ascii=False,
-            )
-            + "\n"
-        )
+        return dump_json(self.to_dict(include_timings))
 
     def write(self, path: str | Path, include_timings: bool = True) -> None:
         Path(path).write_text(self.to_json(include_timings), encoding="utf-8")

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Protocol
 
+from .tabular import read_text
 from .textutil import find_token_seq, tokenize
 
 PAGE_SIZE = 10
@@ -61,9 +62,7 @@ class SearchProvider(Protocol):  # pragma: no cover - structural type only
 def load_corpus(path: str | Path) -> list[tuple[str, str]]:
     """Read a JSON-Lines corpus: one {"id": ..., "text": ...} object per line."""
     docs = []
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue

@@ -7,9 +7,10 @@ equality conditions::
     f4: Arena -> Team @ 0.8
     f6: [Coach=A.Hannum], Start-End -> Team
 
-One rule per line, ``#`` starts a comment, attribute names (and condition
-literals) may be double-quoted to include commas or spaces.  The optional
-``@`` clause declares a confidence in (0, 1] that overrides measurement.
+One rule per line, ``#`` starts a comment, a rule has at most one condition
+block, and attribute names (and condition literals) may be double-quoted to
+hold spaces, ``,``, ``#``, ``@``, ``->`` or brackets.  The optional ``@``
+clause declares a confidence in (0, 1] that overrides measurement.
 
 Confidence is measured per (rule, RHS attribute) edge as the plurality
 ratio: restrict to tuples that satisfy the condition and are complete on
@@ -20,11 +21,12 @@ the largest consistent subset per group.
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .tabular import MISSING, Table
+from .tabular import MISSING, Table, read_text
 
 log = logging.getLogger(__name__)
 
@@ -90,27 +92,28 @@ def conditions_hold(table: Table, row: int, condition: tuple[tuple[str, str], ..
     return all(table.cell(row, a) == lit for a, lit in condition)
 
 
-def _split_top(text: str, sep: str) -> list[str]:
-    """Split on ``sep`` outside double quotes and square brackets."""
-    parts, buf, depth, quoted = [], [], 0, False
-    for ch in text:
-        if ch == '"':
-            quoted = not quoted
-            buf.append(ch)
-        elif quoted:
-            buf.append(ch)
-        elif ch == "[":
+_QUOTED = re.compile(r'"[^"]*"?')  # an unclosed quote runs to the end
+_NESTING = re.compile(r"[\[\],]")
+
+
+def _mask_quotes(text: str) -> str:
+    """``text`` with each quoted span blanked to as many spaces (positions kept)."""
+    return _QUOTED.sub(lambda m: " " * len(m.group()), text)
+
+
+def _split_top(text: str) -> list[str]:
+    """Split on commas outside double quotes and square brackets."""
+    parts, start, depth = [], 0, 0
+    for m in _NESTING.finditer(_mask_quotes(text)):
+        ch = m.group()
+        if ch == "[":
             depth += 1
-            buf.append(ch)
         elif ch == "]":
             depth -= 1
-            buf.append(ch)
-        elif ch == sep and depth == 0:
-            parts.append("".join(buf))
-            buf = []
-        else:
-            buf.append(ch)
-    parts.append("".join(buf))
+        elif depth == 0:
+            parts.append(text[start : m.start()])
+            start = m.end()
+    parts.append(text[start:])
     return parts
 
 
@@ -121,37 +124,13 @@ def _unquote(item: str) -> str:
     return item
 
 
-def _strip_comment(line: str) -> str:
-    quoted = False
-    for i, ch in enumerate(line):
-        if ch == '"':
-            quoted = not quoted
-        elif ch == "#" and not quoted:
-            return line[:i]
-    return line
-
-
-def _find_unquoted(text: str, needle: str, last: bool = False) -> int:
-    """Index of ``needle`` outside double quotes, or -1."""
-    quoted = False
-    found = -1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == '"':
-            quoted = not quoted
-        elif not quoted and text.startswith(needle, i):
-            if not last:
-                return i
-            found = i
-        i += 1
-    return found
-
-
 def _parse_condition(block: str, where: str) -> tuple[tuple[str, str], ...]:
     inner = block.strip()[1:-1]
+    masked = _mask_quotes(inner)
+    if "[" in masked or "]" in masked:
+        raise RuleParseError(f"{where}: unquoted bracket inside condition block {block!r}")
     literals = []
-    for part in _split_top(inner, ","):
+    for part in _split_top(inner):
         part = part.strip()
         if not part or part == "_":
             continue  # wildcard position: no constraint
@@ -170,7 +149,8 @@ def parse_rules(text: str) -> list[Rule]:
     rules: list[Rule] = []
     seen_ids: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        comment = _mask_quotes(raw).find("#")
+        line = (raw if comment < 0 else raw[:comment]).strip()
         if not line:
             continue
         where = f"line {lineno}"
@@ -181,39 +161,40 @@ def parse_rules(text: str) -> list[Rule]:
         if rule_id in seen_ids:
             raise RuleParseError(f"{where}: duplicate rule id {rule_id!r}")
 
+        masked = _mask_quotes(body)
         confidence = None
-        at = _find_unquoted(body, "@", last=True)
+        at = masked.rfind("@")
         if at >= 0:
             conf_text = body[at + 1 :].strip()
-            body = body[:at]
+            body, masked = body[:at], masked[:at]
             try:
                 confidence = float(conf_text)
             except ValueError:
                 raise RuleParseError(f"{where}: bad confidence {conf_text!r}") from None
 
-        arrow = _find_unquoted(body, "->")
-        if arrow < 0 or _find_unquoted(body[arrow + 2 :], "->") >= 0:
+        arrow = masked.find("->")
+        if arrow < 0 or masked.find("->", arrow + 2) >= 0:
             raise RuleParseError(f"{where}: expected exactly one '->'")
         left, right = body[:arrow], body[arrow + 2 :]
 
-        condition: tuple[tuple[str, str], ...] = ()
+        condition: tuple[tuple[str, str], ...] | None = None
         lhs: list[str] = []
-        for item in _split_top(left, ","):
+        for item in _split_top(left):
             item = item.strip()
             if not item:
                 continue
             if item.startswith("["):
                 if not item.endswith("]"):
                     raise RuleParseError(f"{where}: unclosed condition block")
-                if condition:
+                if condition is not None:
                     raise RuleParseError(f"{where}: more than one condition block")
                 condition = _parse_condition(item, where)
             else:
                 lhs.append(_unquote(item))
-        rhs = [_unquote(i) for i in _split_top(right, ",") if i.strip()]
+        rhs = [_unquote(i) for i in _split_top(right) if i.strip()]
 
         try:
-            rule = Rule(rule_id, condition, tuple(lhs), tuple(rhs), confidence)
+            rule = Rule(rule_id, condition or (), tuple(lhs), tuple(rhs), confidence)
         except RuleParseError as exc:
             raise RuleParseError(f"{where}: {exc}") from None
         rules.append(rule)
@@ -222,7 +203,7 @@ def parse_rules(text: str) -> list[Rule]:
 
 
 def parse_rules_file(path: str | Path) -> list[Rule]:
-    return parse_rules(Path(path).read_text(encoding="utf-8"))
+    return parse_rules(read_text(path))
 
 
 def estimate_confidence(rule: Rule, table: Table) -> dict[str, float]:

@@ -1,4 +1,4 @@
-"""Relational tables with explicit missing-cell markers.
+"""Relational tables with explicit missing-cell markers, and the file boundary.
 
 Tables are loaded from RFC-4180-style CSV with a header row.  An empty CSV
 field becomes the in-memory :data:`MISSING` marker; every other cell is kept
@@ -6,11 +6,16 @@ byte-exact.  Tables are treated as immutable after construction: all
 "mutation" happens by building a new table (see :meth:`Table.with_cell`,
 :meth:`Table.with_cells`, which applies many updates with one copy, and
 :func:`mask_random`), which makes them safe to share across threads.
+
+Every file the package reads goes through :func:`read_text`, so a file that
+is not UTF-8 is an error naming it; every JSON file it writes is laid out by
+:func:`dump_json`.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import random
@@ -119,6 +124,10 @@ class MaskedCell:
     attr: str
     value: str
 
+    def __post_init__(self) -> None:
+        if type(self.row) is not int or {type(self.attr), type(self.value)} != {str}:
+            raise TypeError(f"row must be an integer and attr, value strings: {self}")
+
 
 def load_table(path: str | Path) -> Table:
     """Load a CSV file (UTF-8, header row) into a :class:`Table`.
@@ -127,27 +136,25 @@ def load_table(path: str | Path) -> Table:
     raise :class:`TableError` naming the offending row.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TableError(f"{path}: empty file, expected a header row") from None
-        if len(set(header)) != len(header):
-            dupes = sorted({c for c in header if header.count(c) > 1})
-            raise TableError(f"{path}: duplicate header (row 1): {', '.join(dupes)}")
-        if not all(header):
-            raise TableError(f"{path}: empty column name in header (row 1)")
-        rows: list[list[Cell]] = []
-        for lineno, record in enumerate(reader, start=2):
-            if not record:
-                continue  # blank trailing line
-            if len(record) != len(header):
-                raise TableError(
-                    f"{path}: row {lineno} has {len(record)} fields, "
-                    f"expected {len(header)}"
-                )
-            rows.append([f if f != "" else MISSING for f in record])
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise TableError(f"{path}: empty file, expected a header row") from None
+    if len(set(header)) != len(header):
+        dupes = sorted({c for c in header if header.count(c) > 1})
+        raise TableError(f"{path}: duplicate header (row 1): {', '.join(dupes)}")
+    if not all(header):
+        raise TableError(f"{path}: empty column name in header (row 1)")
+    rows: list[list[Cell]] = []
+    for lineno, record in enumerate(reader, start=2):
+        if not record:
+            continue  # blank trailing line
+        if len(record) != len(header):
+            raise TableError(
+                f"{path}: row {lineno} has {len(record)} fields, expected {len(header)}"
+            )
+        rows.append([f if f != "" else MISSING for f in record])
     return Table(path.stem, header, rows)
 
 
@@ -157,8 +164,6 @@ def write_table(table: Table, path: str | Path) -> None:
 
 def to_csv_text(table: Table) -> str:
     """Render a table back to CSV; missing cells become empty fields."""
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(table.columns)
@@ -167,12 +172,22 @@ def to_csv_text(table: Table) -> str:
     return buf.getvalue()
 
 
+def read_text(path: str | Path) -> str:
+    """A whole UTF-8 file, line ends kept; a ValueError naming it if not UTF-8."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not a UTF-8 file: {exc}") from None
+
+
+def dump_json(data: object) -> str:
+    """The layout of every JSON file written: sorted keys, 2-space indent, UTF-8."""
+    return json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
 def write_ground_truth(entries: Sequence[MaskedCell], path: str | Path) -> None:
-    data = [asdict(e) for e in entries]
-    Path(path).write_text(
-        json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    Path(path).write_text(dump_json([asdict(e) for e in entries]), encoding="utf-8")
 
 
 def read_json_list(path: str | Path, kind: str, build: Callable[[dict], T]) -> list[T]:
@@ -183,8 +198,8 @@ def read_json_list(path: str | Path, kind: str, build: Callable[[dict], T]) -> l
     file and, for an entry, the entry.
     """
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        data = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not a UTF-8 JSON file: {exc}") from None
     if not isinstance(data, list):
         raise ValueError(f"{path}: expected a JSON list of {kind} entries")
@@ -199,7 +214,7 @@ def read_json_list(path: str | Path, kind: str, build: Callable[[dict], T]) -> l
 
 def read_ground_truth(path: str | Path) -> list[MaskedCell]:
     return read_json_list(
-        path, "ground-truth", lambda d: MaskedCell(int(d["row"]), d["attr"], d["value"])
+        path, "ground-truth", lambda d: MaskedCell(d["row"], d["attr"], d["value"])
     )
 
 

@@ -7,7 +7,8 @@ subgraph list comes from listing every feasible subgraph, and retrieval
 scans every document for every keyword, and maximal patterns come from
 comparing every pair of qualifying contexts.  They exist so the real
 implementations can be checked against something that cannot share their
-bugs.
+bugs.  The rule-DSL oracle is the earlier character-loop parser, kept as it
+was (quote state toggled per character in three separate scans).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import random
 from webimpute import Document, LocalCorpusProvider, Pattern, Query, Rule, RuleSet, Table
 from webimpute.keywords import SinkGraph
 from webimpute.patterns import FORWARD
+from webimpute.rules import RuleParseError
 from webimpute.tabular import MISSING
 from webimpute.textutil import tokenize
 
@@ -497,3 +499,179 @@ def random_ranked_sink_case(rng: random.Random):
         )
         rules.append(Rule(f"r{i}", condition, lhs, rhs, rng.choice([0.5, 0.8, 1.0])))
     return table, RuleSet.estimate(rules, table), sink
+
+
+def _split_top(text: str, sep: str) -> list[str]:
+    """Split on ``sep`` outside double quotes and square brackets."""
+    parts, buf, depth, quoted = [], [], 0, False
+    for ch in text:
+        if ch == '"':
+            quoted = not quoted
+            buf.append(ch)
+        elif quoted:
+            buf.append(ch)
+        elif ch == "[":
+            depth += 1
+            buf.append(ch)
+        elif ch == "]":
+            depth -= 1
+            buf.append(ch)
+        elif ch == sep and depth == 0:
+            parts.append("".join(buf))
+            buf = []
+        else:
+            buf.append(ch)
+    parts.append("".join(buf))
+    return parts
+
+
+def _unquote(item: str) -> str:
+    item = item.strip()
+    if len(item) >= 2 and item[0] == '"' and item[-1] == '"':
+        return item[1:-1]
+    return item
+
+
+def _strip_comment(line: str) -> str:
+    quoted = False
+    for i, ch in enumerate(line):
+        if ch == '"':
+            quoted = not quoted
+        elif ch == "#" and not quoted:
+            return line[:i]
+    return line
+
+
+def _find_unquoted(text: str, needle: str, last: bool = False) -> int:
+    """Index of ``needle`` outside double quotes, or -1."""
+    quoted = False
+    found = -1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == '"':
+            quoted = not quoted
+        elif not quoted and text.startswith(needle, i):
+            if not last:
+                return i
+            found = i
+        i += 1
+    return found
+
+
+def _parse_condition(block: str, where: str) -> tuple[tuple[str, str], ...]:
+    inner = block.strip()[1:-1]
+    literals = []
+    for part in _split_top(inner, ","):
+        part = part.strip()
+        if not part or part == "_":
+            continue  # wildcard position: no constraint
+        if "=" not in part:
+            raise RuleParseError(f"{where}: condition literal needs Attr=Value: {part!r}")
+        attr, _, value = part.partition("=")
+        attr, value = _unquote(attr), _unquote(value)
+        if not attr or not value:
+            raise RuleParseError(f"{where}: malformed condition literal: {part!r}")
+        literals.append((attr, value))
+    return tuple(literals)
+
+
+def parse_rules_oracle(text: str) -> list[Rule]:
+    """Parse the rule DSL; one :class:`Rule` per non-comment line."""
+    rules: list[Rule] = []
+    seen_ids: set[str] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = _strip_comment(raw).strip()
+        if not line:
+            continue
+        where = f"line {lineno}"
+        head, colon, body = line.partition(":")
+        if not colon or not head.strip():
+            raise RuleParseError(f"{where}: expected 'id: ... -> ...'")
+        rule_id = head.strip()
+        if rule_id in seen_ids:
+            raise RuleParseError(f"{where}: duplicate rule id {rule_id!r}")
+
+        confidence = None
+        at = _find_unquoted(body, "@", last=True)
+        if at >= 0:
+            conf_text = body[at + 1 :].strip()
+            body = body[:at]
+            try:
+                confidence = float(conf_text)
+            except ValueError:
+                raise RuleParseError(f"{where}: bad confidence {conf_text!r}") from None
+
+        arrow = _find_unquoted(body, "->")
+        if arrow < 0 or _find_unquoted(body[arrow + 2 :], "->") >= 0:
+            raise RuleParseError(f"{where}: expected exactly one '->'")
+        left, right = body[:arrow], body[arrow + 2 :]
+
+        condition: tuple[tuple[str, str], ...] = ()
+        lhs: list[str] = []
+        for item in _split_top(left, ","):
+            item = item.strip()
+            if not item:
+                continue
+            if item.startswith("["):
+                if not item.endswith("]"):
+                    raise RuleParseError(f"{where}: unclosed condition block")
+                if condition:
+                    raise RuleParseError(f"{where}: more than one condition block")
+                condition = _parse_condition(item, where)
+            else:
+                lhs.append(_unquote(item))
+        rhs = [_unquote(i) for i in _split_top(right, ",") if i.strip()]
+
+        try:
+            rule = Rule(rule_id, condition, tuple(lhs), tuple(rhs), confidence)
+        except RuleParseError as exc:
+            raise RuleParseError(f"{where}: {exc}") from None
+        rules.append(rule)
+        seen_ids.add(rule_id)
+    return rules
+
+
+_RULE_NAMES = ["A", "B", "C", " D ", '"Home City"', '"A"']
+_QUOTED_DELIMITERS = ['"x,y"', '"x#y"', '"x@y"', '"x->y"', '"[Z"', '"W]"', '"a, [b]"']
+_BLOCKS = [
+    "[X=1]", "[X=1, _]", "[_, Y=2]", '["Q,1"="v#2"]', '[X="a->b", Y="[c]"]', '[X="@"]',
+    "[_]", "[]", "[ _ , _ ]",  # no literal
+    "[X]", "[X=1, Y]",  # literal without '='
+    "[=1]", "[X=]", '[""=1]',  # malformed literal
+    "[X=1", "[X=1, _",  # unclosed
+    "[X=[1]]", "[[X=1]]", "[X=1] [Y=2]", "[X=1]]",  # unquoted bracket inside
+    "]", "[X=1]]]",  # stray ']' drives the depth below 0
+]
+_IDS = ["f1", "f2", "r", " g7 "] * 4 + ["f0", "", '"f:1"', "[c]"]
+_CONFIDENCES = [""] * 6 + ["@ 0.8", "@1", "@ 1.5", "@ 0", "@ nope", "@", "@ 0.5 @ 0.9"]
+_COMMENTS = ["", "# note", "  # a -> b, @ 1", '# "quoted', "#"]
+
+
+def random_rule_line(rng: random.Random) -> str:
+    """One line of the rule DSL built from random pieces, most of them malformed.
+
+    Pieces: ids (empty, duplicate of ``f0``, holding a colon), names (plain,
+    quoted, quoted around ``,``, ``#``, ``@``, ``->``, ``[`` or ``]``, or an
+    unclosed quote), condition blocks (with wildcards, quoted literals,
+    malformed literals, unclosed, with a bracket inside, stray ``]``), zero to
+    two arrows, ``@`` clauses and comments.
+    """
+    def name() -> str:
+        r = rng.random()
+        if r < 0.15:
+            return rng.choice(_QUOTED_DELIMITERS)
+        if r < 0.17:
+            return '"open'
+        return rng.choice(_RULE_NAMES)
+
+    lhs = [name() for _ in range(rng.choice([0, 1, 1, 2, 3]))]
+    for _ in range(rng.choice([0, 0, 1, 1, 1, 2])):
+        lhs.insert(rng.randint(0, len(lhs)), rng.choice(_BLOCKS))
+    rhs = [name() for _ in range(rng.choice([0, 1, 1, 1, 2]))]
+    if rng.random() < 0.4:
+        rhs.append(rng.choice(["X", "Y"]))  # a condition attribute in the RHS
+    arrow = rng.choice(["->"] * 20 + ["", "-> B ->", "- >"])
+    body = f"{', '.join(lhs)} {arrow} {', '.join(rhs)} {rng.choice(_CONFIDENCES)}"
+    colon = ":" if rng.random() < 0.97 else ""
+    return f"{rng.choice(_IDS)}{colon} {body}{rng.choice(_COMMENTS)}"

@@ -262,8 +262,17 @@ def test_wrongly_typed_config_value_is_usage_error(tmp_path, capsys, settings, k
         ("", "not a UTF-8 JSON file"),
         ('[{"attr1": "Arena", "attr2": "Location", "context": "in the", '
          '"direction": "forward", "support": 2}]', "entry 0"),
+        ('[{"attr1": "Arena", "attr2": "Location", "context": ["in"], '
+         '"direction": "forward", "support": true}]', "entry 0"),
+        ('[{"attr1": "Arena", "attr2": "Location", "context": ["in"], '
+         '"direction": "forward", "support": 2.7}]', "entry 0"),
+        ('[{"attr1": ["Arena"], "attr2": "Location", "context": ["in"], '
+         '"direction": "forward", "support": 2}]', "entry 0"),
     ],
-    ids=["not-a-list", "entry-without-attr2", "empty-file", "string-context"],
+    ids=[
+        "not-a-list", "entry-without-attr2", "empty-file", "string-context",
+        "bool-support", "float-support", "list-attr1",
+    ],
 )
 def test_malformed_pattern_cache_is_data_error(tmp_path, capsys, text, where):
     cache = tmp_path / "patterns.json"
@@ -290,6 +299,81 @@ def test_ground_truth_entry_without_row_is_data_error(tmp_path, capsys):
     assert code == 2
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and str(truth) in errors[0] and "entry 0" in errors[0]
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"row": 2.7, "attr": "Team", "value": "x"},
+        {"row": True, "attr": "Team", "value": "x"},
+        {"row": 1, "attr": "Team", "value": 5},
+        {"row": 1, "attr": None, "value": "x"},
+    ],
+    ids=["float-row", "bool-row", "number-value", "null-attr"],
+)
+def test_wrongly_typed_ground_truth_entry_is_data_error(tmp_path, capsys, entry):
+    # a row of 2.7 used to score the cell in row 2; a numeric value got as far
+    # as scoring and raised AttributeError there
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps([entry]), encoding="utf-8")
+    code = run("eval", "--table", str(DATA / "nba.csv"), "--truth", str(truth))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and str(truth) in errors[0] and "entry 0" in errors[0]
+
+
+def _impute_args(tmp_path, **paths):
+    """``impute`` arguments on the NBA example, with some paths replaced."""
+    args = {
+        "table": DATA / "nba.csv",
+        "rules": DATA / "nba.rules",
+        "corpus": DATA / "nba_corpus.jsonl",
+        "out": tmp_path / "out.csv",
+    }
+    args.update(paths)
+    return ["impute"] + [x for k, v in args.items() for x in (f"--{k}", str(v))]
+
+
+@pytest.mark.parametrize("flag", ["table", "rules", "corpus", "out", "report"])
+def test_unusable_path_is_one_data_error_line(tmp_path, capsys, flag):
+    # an input that is a directory, or an output in a directory that does not
+    # exist: exit 2 and one line naming the path, not a traceback
+    if flag in ("out", "report"):
+        path = tmp_path / "no_such_dir" / "o.txt"
+    else:
+        path = tmp_path / "a_directory"
+        path.mkdir()
+    code = run(*_impute_args(tmp_path, **{flag: path}))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and str(path) in errors[0]
+    assert "input" not in errors[0]
+
+
+@pytest.mark.parametrize(
+    "flag, code", [
+        ("table", 2), ("rules", 2), ("corpus", 2), ("dict", 2), ("truth", 2),
+        ("patterns", 2), ("config", 1),
+    ],
+)
+def test_non_utf8_input_names_its_file(tmp_path, capsys, flag, code):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"caf\xe9 \xff\n")
+    if flag == "truth":
+        argv = ["eval", "--table", str(DATA / "nba.csv"), "--truth", str(bad)]
+    elif flag == "dict":
+        argv = _impute_args(tmp_path, dict=f"Location={bad}")
+    else:
+        argv = _impute_args(tmp_path, **{flag: bad})
+    assert run(*argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and str(bad) in errors[0]
 
 
 def test_missing_config_file_is_data_error(tmp_path):

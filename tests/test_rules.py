@@ -1,6 +1,16 @@
+import collections
 import random
+import re
 
 import pytest
+
+from oracles import (
+    _find_unquoted,
+    _split_top,
+    _strip_comment,
+    parse_rules_oracle,
+    random_rule_line,
+)
 
 from webimpute import Rule, RuleSet, Table, estimate_confidence, parse_rules
 from webimpute.rules import RuleError, RuleParseError
@@ -76,6 +86,29 @@ class TestParse:
     def test_wildcard_condition_positions_ignored(self):
         (rule,) = parse_rules("f6: [Coach=A.Hannum, _, _], Start-End -> Team")
         assert rule.condition == (("Coach", "A.Hannum"),)
+
+    def test_quoted_names_hold_delimiters(self):
+        (rule,) = parse_rules(
+            'r: [X="a->b, [c]"], "p#q", "s@t" -> "u->v", "w,x" @ 0.5  # "c, d" @ 1'
+        )
+        assert rule.condition == (("X", "a->b, [c]"),)
+        assert rule.lhs == ("p#q", "s@t")
+        assert rule.rhs == ("u->v", "w,x")
+        assert rule.declared_confidence == 0.5
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            # the check used to ask whether the first block had literals
+            ("f1: [_], [X=1], A -> B", "more than one condition block"),
+            # a missing comma used to give the literal X = "1] [Y=2"
+            ("f1: [X=1] [Y=2], A -> B", "unquoted bracket inside condition block"),
+        ],
+        ids=["wildcard-block-then-block", "blocks-without-comma"],
+    )
+    def test_malformed_condition_blocks_rejected(self, line, message):
+        with pytest.raises(RuleParseError, match=rf"^line 2: {re.escape(message)}"):
+            parse_rules(f"f0: P -> Q\n{line}\n")
 
 
 class TestEstimate:
@@ -206,3 +239,76 @@ class TestRuleSet:
         (rule,) = parse_rules("r: A -> B")
         with pytest.raises(RuleError, match="rule r: edge weight into B"):
             RuleSet([rule], confidences)
+
+
+def _misparsed_block_shape(line: str) -> str | None:
+    """The condition-block shape the earlier parser accepted by mistake.
+
+    Walked with the earlier parser's own helpers, block by block as the
+    parser meets them: "more than one condition block" at a second block,
+    "bracket inside condition block" at a block holding an unquoted ``[`` or
+    ``]``, else None.
+    """
+    body = _strip_comment(line).partition(":")[2]
+    at = _find_unquoted(body, "@", last=True)
+    left = body[:at] if at >= 0 else body
+    left = left[: _find_unquoted(left, "->")]
+    blocks = 0
+    for item in _split_top(left, ","):
+        item = item.strip()
+        if item.startswith("[") and item.endswith("]"):
+            blocks += 1
+            if blocks == 2:
+                return "more than one condition block"
+            inner = item[1:-1]
+            if _find_unquoted(inner, "[") >= 0 or _find_unquoted(inner, "]") >= 0:
+                return "bracket inside condition block"
+    return None
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except RuleParseError as exc:
+        return str(exc)
+
+
+_ERROR_FAMILIES = [
+    "expected 'id: ... -> ...'", "duplicate rule id", "bad confidence",
+    "expected exactly one '->'", "unclosed condition block",
+    "more than one condition block", "condition literal needs Attr=Value",
+    "malformed condition literal", "empty LHS", "empty RHS", "attribute repeated in",
+    "attribute on both sides", "condition attribute in RHS",
+    "declared confidence must be in (0,1]",
+]
+
+
+def test_parser_matches_character_loop_oracle_on_random_lines():
+    # The masked scanner must give the same rules, or the same error text, as
+    # the earlier parser on every line, except the two condition-block shapes
+    # that parser accepted by mistake: those now raise.
+    rng = random.Random(10)
+    seen = collections.Counter()
+    for _ in range(6000):
+        line = random_rule_line(rng)
+        text = f"f0: P -> Q\n{line}\n"  # line 2; an id f0 is a duplicate
+        new, old = _outcome(parse_rules, text), _outcome(parse_rules_oracle, text)
+        shape = _misparsed_block_shape(line)
+        if new != old:
+            assert isinstance(new, str) and shape is not None and shape in new, (line, new, old)
+            seen["new: " + shape] += 1
+        elif isinstance(new, str):
+            family = [f for f in _ERROR_FAMILIES if f in new]
+            assert family, (line, new)
+            seen[family[0]] += 1
+        else:
+            rule = new[-1]
+            names = rule.lhs + rule.rhs + tuple(x for lit in rule.condition for x in lit)
+            seen["accepted"] += 1
+            seen["with a condition"] += bool(rule.condition)
+            seen["quoted delimiter"] += any(d in n for n in names for d in ",#@->[]")
+    expected = _ERROR_FAMILIES + [
+        "accepted", "with a condition", "quoted delimiter",
+        "new: more than one condition block", "new: bracket inside condition block",
+    ]
+    assert {k: seen[k] for k in expected if seen[k] < 20} == {}, seen

@@ -27,6 +27,16 @@ class TestLoad:
         assert nba_table.cell(3, "Location") is MISSING
         assert nba_table.cell(0, "Location") == "SanFrancsicoCA"
 
+    def test_line_breaks_inside_quoted_cells_kept_byte_exact(self, tmp_path):
+        # CR LF rows; cells holding CR LF, a lone CR, U+2028 and U+0085, none
+        # of which may split or change a record
+        path = tmp_path / "breaks.csv"
+        path.write_bytes(
+            'a,b\r\n"x\r\ny",1\r\n"p\u2028q","r\rs"\r\n"t\x85u",\r\n'.encode("utf-8")
+        )
+        table = load_table(path)
+        assert table.rows == [["x\r\ny", "1"], ["p\u2028q", "r\rs"], ["t\x85u", MISSING]]
+
     def test_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("a,b,c\n", encoding="utf-8")
