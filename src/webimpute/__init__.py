@@ -7,7 +7,7 @@ cell is submitted to a pluggable search provider and values are extracted
 through mined text patterns or dictionary distance matching.
 """
 
-from .bayes import ABSTAIN, BayesDecision, bayes_score, candidate_values, impute_internal
+from .bayes import ABSTAIN, BayesDecision, impute_internal
 from .depgraph import DependencyGraph, build_dependency_graph, export_dot
 from .evalharness import Metrics, SweepResult, evaluate, run_one, sweep
 from .extract import Dictionary, avg_distance, build_dictionary, extract_by_keywords
@@ -73,10 +73,8 @@ __all__ = [
     "Table",
     "TableError",
     "avg_distance",
-    "bayes_score",
     "build_dependency_graph",
     "build_dictionary",
-    "candidate_values",
     "enumerate_single_sink_graphs",
     "estimate_confidence",
     "evaluate",

@@ -80,27 +80,6 @@ class BayesDecision:
         }
 
 
-def candidate_values(table: Table, attr: str, rule) -> set[str]:
-    """Distinct present values of ``attr`` over condition-satisfying tuples."""
-    return set(_FrequencyCounts.build(table, attr, (), rule.condition).candidates)
-
-
-def bayes_score(
-    candidate: str,
-    attr: str,
-    evidence: list[tuple[str, str]],
-    table: Table,
-    rule,
-) -> float:
-    """Joint score P(candidate) * prod P(evidence_value | candidate).
-
-    Counted over tuples that satisfy the rule's condition and are complete
-    on ``attr`` and every evidence attribute.
-    """
-    counts = _FrequencyCounts.build(table, attr, tuple(a for a, _ in evidence), rule.condition)
-    return counts.joints(evidence).get(candidate, 0.0)
-
-
 @dataclass
 class _FrequencyCounts:
     """One scan's counts for a (condition, target attr, evidence attrs) setting."""

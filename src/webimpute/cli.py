@@ -14,6 +14,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -187,11 +188,13 @@ _PROVIDER_KEYS = {  # kind -> (required, optional) keys of a --config provider
 
 
 def _build_provider(args, config: RunConfig):
+    """The provider of ``--corpus``, else ``--url-template``, else ``--config``."""
     if getattr(args, "corpus", None):
-        return LocalCorpusProvider.from_jsonl(args.corpus, page_size=config.page_size)
-    if getattr(args, "url_template", None):
-        return HttpProvider(args.url_template)
-    settings = dict(config.provider or {})
+        settings = {"kind": "local", "corpus": args.corpus}
+    elif getattr(args, "url_template", None):
+        settings = {"kind": "http", "url_template": args.url_template}
+    else:
+        settings = dict(config.provider or {})
     kind = settings.pop("kind", None)
     if kind is None:
         raise _UsageError("need --corpus, --url-template, or a provider in --config")
@@ -266,8 +269,9 @@ def _cmd_mask(args) -> int:
 def _cmd_eval(args) -> int:
     imputed = load_table(args.table)
     truth = read_ground_truth(args.truth)
-    metrics = evaluate(truth, imputed)
-    text = dump_json(metrics.to_dict())
+    metrics = asdict(evaluate(truth, imputed))
+    del metrics["phase_timings"]  # set only by a sweep's run_one
+    text = dump_json(metrics)
     if args.report:
         Path(args.report).write_text(text, encoding="utf-8")
     else:

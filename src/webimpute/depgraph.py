@@ -71,10 +71,6 @@ class DependencyGraph:
     edges: list[GraphEdge]
     applications: dict[str, list[RuleApplication]]  # target -> in declaration order
 
-    def applications_into(self, attr: str) -> list[RuleApplication]:
-        """Ways to derive ``attr``, in rule-declaration order."""
-        return list(self.applications.get(attr, ()))
-
     def feasible(
         self, table: Table, row: int, attr: str
     ) -> list[tuple[RuleApplication, list[str]]]:
@@ -85,15 +81,6 @@ class DependencyGraph:
             for app in self.applications.get(attr, ())
             if conditions_hold(table, row, app.conditions)
         ]
-
-    def attribute_nodes(self) -> list[GraphNode]:
-        return [n for n in self.nodes if n.kind == ATTRIBUTE]
-
-    def logic_nodes(self) -> list[GraphNode]:
-        return [n for n in self.nodes if n.kind == LOGIC]
-
-    def condition_nodes(self) -> list[GraphNode]:
-        return [n for n in self.nodes if n.kind == CONDITION]
 
 
 def build_dependency_graph(ruleset: RuleSet) -> DependencyGraph:

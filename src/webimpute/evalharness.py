@@ -37,17 +37,6 @@ class Metrics:
     phase_timings: dict | None = None
     flagged: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "masked": self.masked,
-            "filled": self.filled,
-            "correct": self.correct,
-            "accuracy": self.accuracy,
-            "filling_ratio": self.filling_ratio,
-            "wall_time": self.wall_time,
-            "flagged": self.flagged,
-        }
-
 
 def evaluate(ground_truth: Sequence[MaskedCell], imputed: Table) -> Metrics:
     """Exact-match scoring (whitespace-trimmed, case-sensitive).

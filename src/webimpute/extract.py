@@ -43,9 +43,6 @@ class Dictionary:
             self, "_max_len", max((len(k) for k in normalized), default=0)
         )
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def match_at(self, tokens: list[str], start: int) -> tuple[str, int] | None:
         """Longest entry whose token span begins at ``start``: (entry, span length)."""
         if start < 0 or start >= len(tokens):

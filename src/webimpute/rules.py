@@ -258,7 +258,6 @@ class RuleSet:
         ids = [r.id for r in self.rules]
         if len(set(ids)) != len(ids):
             raise RuleParseError("duplicate rule ids in rule set")
-        self._by_id = {r.id: r for r in self.rules}
         for rule in self.rules:
             for attr in rule.rhs:
                 weight = self.confidences.get((rule.id, attr))
@@ -276,9 +275,6 @@ class RuleSet:
             for attr, conf in estimate_confidence(rule, table).items():
                 confidences[(rule.id, attr)] = conf
         return cls(list(rules), confidences)
-
-    def rule(self, rule_id: str) -> Rule:
-        return self._by_id[rule_id]
 
     def confidence(self, rule_id: str, attr: str) -> float:
         return self.confidences[(rule_id, attr)]

@@ -95,9 +95,6 @@ class Table:
                 if value is MISSING:
                     yield r, c
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
 
 @dataclass(frozen=True)
 class MaskSpec:
@@ -173,10 +170,12 @@ def to_csv_text(table: Table) -> str:
 
 
 def read_text(path: str | Path) -> str:
-    """A whole UTF-8 file, line ends kept; a ValueError naming it if not UTF-8."""
+    """A whole UTF-8 file, line ends kept and a leading byte-order mark dropped;
+    a ValueError naming it if not UTF-8."""
     try:
+        # not "utf-8-sig": that codec is a Python module each new process imports
         with open(path, encoding="utf-8", newline="") as fh:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not a UTF-8 file: {exc}") from None
 

@@ -287,7 +287,7 @@ def sink_graphs_oracle(graph, table: Table, row: int, sink: str):
         if key in memo:
             return memo[key]
         result = []
-        for app in graph.applications_into(attr):
+        for app in graph.applications.get(attr, ()):
             if any(table.cell(row, a) != lit for a, lit in app.conditions):
                 continue
             if any(d in path for d in app.determinants):

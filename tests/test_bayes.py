@@ -14,9 +14,7 @@ from webimpute import (
     MISSING,
     RuleSet,
     Table,
-    bayes_score,
     build_dependency_graph,
-    candidate_values,
     impute_internal,
     parse_rules,
 )
@@ -35,47 +33,64 @@ def setup_ruleset(text, table):
     return ruleset, build_dependency_graph(ruleset)
 
 
-class TestCandidates:
-    def test_capacity_candidates(self, nba_table, nba_ruleset):
-        f1 = nba_ruleset.rule("f1")
-        assert candidate_values(nba_table, "Capacity", f1) == {"7500", "6000", "18203"}
+def decision_for(decisions, row, attr):
+    (decision,) = [d for d in decisions if (d.row, d.attr) == (row, attr)]
+    return decision
 
-    def test_conditional_rule_restricts_candidates(self, nba_table, nba_ruleset):
-        f6 = nba_ruleset.rule("f6")
-        assert candidate_values(nba_table, "Team", f6) == {"Golden State Warriors"}
+
+def joints(decision):
+    return {c.value: c.joint for c in decision.candidates}
+
+
+class TestCandidates:
+    def test_capacity_candidates(self, nba_table, nba_graph):
+        _, decisions = impute_internal(nba_table, nba_graph, 0.5)
+        capacity = decision_for(decisions, 3, "Capacity")
+        assert capacity.rule_id == "f1"
+        assert set(joints(capacity)) == {"7500", "6000", "18203"}
+
+    def test_conditional_rule_restricts_candidates(self, nba_table, nba_graph):
+        # a sixth row coached by A.Hannum, Team and Arena missing: of the rules
+        # into Team only f6 has its determinants, and only t2 meets its condition
+        extra = ["t6", MISSING, "1964-1966", MISSING, MISSING, MISSING, "A.Hannum"]
+        table = make_table(nba_table.columns, nba_table.rows + [extra])
+        _, decisions = impute_internal(table, nba_graph, 0.5)
+        team = decision_for(decisions, 5, "Team")
+        assert team.rule_id == "f6"
+        assert set(joints(team)) == {"Golden State Warriors"}
 
     def test_fully_missing_column_gives_empty_set(self):
         table = make_table(["A", "B"], [["a1", MISSING], ["a2", MISSING]])
-        (rule,) = parse_rules("r: A -> B")
-        assert candidate_values(table, "B", rule) == set()
+        _, graph = setup_ruleset("r: A -> B", table)
+        _, decisions = impute_internal(table, graph, 0.5)
+        assert [(d.rule_id, d.candidates) for d in decisions] == [("r", []), ("r", [])]
 
 
 class TestScore:
-    def test_location_joint_is_one(self, nba_table, nba_ruleset):
+    # t4 holds Arena CivicAuditorium with Location and Capacity missing; f1
+    # decides both cells from the evidence Arena = CivicAuditorium
+    def test_location_joint_is_one(self, nba_table, nba_graph):
         # only t1 is complete on (Location, Arena): the co-occurring value scores 1
-        f1 = nba_ruleset.rule("f1")
-        evidence = [("Arena", "CivicAuditorium")]
-        score = bayes_score("SanFrancsicoCA", "Location", evidence, nba_table, f1)
-        assert score == 1.0
+        _, decisions = impute_internal(nba_table, nba_graph, 0.5)
+        location = decision_for(decisions, 3, "Location")
+        assert location.rule_id == "f1"
+        assert joints(location)["SanFrancsicoCA"] == 1.0
 
-    def test_never_cooccurring_value_scores_zero(self, nba_table, nba_ruleset):
-        f1 = nba_ruleset.rule("f1")
-        evidence = [("Arena", "CivicAuditorium")]
-        assert bayes_score("18203", "Capacity", evidence, nba_table, f1) == 0.0
+    def test_never_cooccurring_value_scores_zero(self, nba_table, nba_graph):
+        _, decisions = impute_internal(nba_table, nba_graph, 0.5)
+        assert joints(decision_for(decisions, 3, "Capacity"))["18203"] == 0.0
 
-    def test_capacity_argmax(self, nba_table, nba_ruleset):
-        f1 = nba_ruleset.rule("f1")
-        evidence = [("Arena", "CivicAuditorium")]
-        scores = {
-            d: bayes_score(d, "Capacity", evidence, nba_table, f1)
-            for d in ("7500", "6000", "18203")
-        }
+    def test_capacity_argmax(self, nba_table, nba_graph):
+        _, decisions = impute_internal(nba_table, nba_graph, 0.5)
+        scores = joints(decision_for(decisions, 3, "Capacity"))
         assert scores["7500"] > scores["6000"] == scores["18203"] == 0.0
 
     def test_single_row_table(self):
-        table = make_table(["A", "B"], [["a1", "b1"]])
-        (rule,) = parse_rules("r: A -> B")
-        assert bayes_score("b1", "B", [("A", "a1")], table, rule) == 1.0
+        # the count table holds the one complete row
+        table = make_table(["A", "B"], [["a1", "b1"], ["a1", MISSING]])
+        _, graph = setup_ruleset("r: A -> B", table)
+        _, decisions = impute_internal(table, graph, 0.5)
+        assert joints(decision_for(decisions, 1, "B")) == {"b1": 1.0}
 
 
 class TestImputeInternal:
@@ -149,10 +164,11 @@ class TestImputeInternal:
             "c: [League=East], Arena -> City @ 0.9",
             table,
         )
-        east_city = ruleset.rule("c")
+        _, first_round = impute_internal(table, graph, 0.5, max_rounds=1)
+        row3_first = decision_for(first_round, 3, "City")
+        assert row3_first.rule_id == "c"
+        assert [c.value for c in row3_first.candidates] == ["Atlanta"]
         filled, decisions = impute_internal(table, graph, 0.5)
-        assert candidate_values(table, "City", east_city) == {"Atlanta"}
-        assert candidate_values(filled, "City", east_city) == {"Atlanta", "Brooklyn"}
         chosen = {(d.row, d.attr): d.chosen for d in decisions if d.chosen}
         assert chosen == internal_fills_oracle(table, ruleset, 0.5, max_rounds=10)
         assert chosen == {

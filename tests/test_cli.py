@@ -83,6 +83,16 @@ def test_sdg_exports_dot(tmp_path):
     assert '"a_Arena" -> "a_Location"' in text
 
 
+def test_byte_order_marks_are_dropped_on_read(tmp_path):
+    table = tmp_path / "bom.csv"
+    table.write_bytes("\ufeffA,B\na1,b1\n".encode("utf-8"))
+    rules = tmp_path / "bom.rules"
+    rules.write_bytes("\ufeffr: A -> B\n".encode("utf-8"))
+    dot = tmp_path / "g.dot"
+    assert run("sdg", "--rules", str(rules), "--table", str(table), "--dot", str(dot)) == 0
+    assert '"a_A" -> "a_B" [label="r:1"];' in dot.read_text(encoding="utf-8")
+
+
 def test_impute_with_config_file(tmp_path, capsys):
     out = tmp_path / "out.csv"
     report = tmp_path / "report.json"
@@ -164,6 +174,31 @@ def test_provider_from_config_file(tmp_path):
         "--out", str(out),
     )
     assert no_provider == 1
+
+
+def test_bad_url_template_is_the_same_usage_error_as_flag_or_config(tmp_path, capsys):
+    template = "http://127.0.0.1:9/x"  # no {query}
+    config = tmp_path / "cfg.json"
+    config.write_text(
+        json.dumps({"provider": {"kind": "http", "url_template": template}}),
+        encoding="utf-8",
+    )
+    errors = []
+    for source in (("--url-template", template), ("--config", str(config))):
+        code = run(
+            "impute",
+            "--table", str(DATA / "nba.csv"),
+            "--rules", str(DATA / "nba.rules"),
+            *source,
+            "--out", str(tmp_path / "out.csv"),
+        )
+        assert code == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(
+        "error: bad http provider settings: "
+        "url_template must contain a {query} placeholder\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -465,6 +500,23 @@ def test_mask_impute_eval_round_trip(tmp_path, capsys):
     assert metrics["filling_ratio"] == 1.0
 
 
+def test_eval_prints_metrics_to_stdout(tmp_path, capsys):
+    table = tmp_path / "imputed.csv"
+    table.write_text("A,B\nx,1\ny,\n", encoding="utf-8")
+    truth = tmp_path / "truth.json"
+    truth.write_text(
+        json.dumps([{"row": 0, "attr": "B", "value": "1"},
+                    {"row": 1, "attr": "B", "value": "2"}]),
+        encoding="utf-8",
+    )
+    assert run("eval", "--table", str(table), "--truth", str(truth)) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "accuracy": 1.0,\n  "correct": 1,\n  "filled": 1,\n'
+        '  "filling_ratio": 0.5,\n  "flagged": false,\n  "masked": 2,\n'
+        '  "wall_time": null\n}\n'
+    )
+
+
 def test_sweep_writes_csv_and_summary(tmp_path):
     table_path = tmp_path / "base.csv"
     rows = [f"k{i},v{i},w{i}" for i in range(8)]
@@ -512,11 +564,12 @@ def test_sweep_writes_csv_and_summary(tmp_path):
     lines = out_path.read_text(encoding="utf-8").strip().splitlines()
     assert len(lines) == 7  # header + 1 ratio x 5 default seeds + average
 
-    assert run(
-        "sweep", "--table", str(table_path), "--rules", str(rules_path),
-        "--corpus", str(corpus_path), "--ratios", "oops", "--seeds", "1",
-        "--out", str(out_path),
-    ) == 1
+    for ratios in ("oops", ","):
+        assert run(
+            "sweep", "--table", str(table_path), "--rules", str(rules_path),
+            "--corpus", str(corpus_path), "--ratios", ratios, "--seeds", "1",
+            "--out", str(out_path),
+        ) == 1
 
 
 def test_mine_patterns_command(tmp_path):

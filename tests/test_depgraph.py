@@ -40,12 +40,16 @@ def make_ruleset(text, table):
     return RuleSet.estimate(parse_rules(text), table)
 
 
+def labels(graph, kind):
+    return [n.label for n in graph.nodes if n.kind == kind]
+
+
 def test_nba_graph_census(nba_graph):
-    assert {n.label for n in nba_graph.attribute_nodes()} == {
+    assert set(labels(nba_graph, ATTRIBUTE)) == {
         "Arena", "Location", "Capacity", "Start-End", "Team",
     }
-    assert {n.label for n in nba_graph.logic_nodes()} == {"f2", "f3", "f6"}
-    assert [n.label for n in nba_graph.condition_nodes()] == ["Coach=A.Hannum"]
+    assert set(labels(nba_graph, LOGIC)) == {"f2", "f3", "f6"}
+    assert labels(nba_graph, CONDITION) == ["Coach=A.Hannum"]
     assert len(nba_graph.nodes) == 9
 
 
@@ -53,7 +57,7 @@ def test_single_rule_has_no_logic_node():
     table = Table("t", ["A", "B"], [["1", "2"]])
     graph = build_dependency_graph(make_ruleset("r: A -> B @ 0.7", table))
     assert len(graph.nodes) == 2
-    assert graph.logic_nodes() == []
+    assert labels(graph, LOGIC) == []
     (edge,) = graph.edges
     assert (edge.src.label, edge.dst.label, edge.weight) == ("A", "B", 0.7)
 
@@ -66,7 +70,7 @@ def test_empty_ruleset_gives_empty_graph():
 
 
 def test_condition_nodes_have_no_incoming_edges(nba_graph):
-    condition_labels = {n.label for n in nba_graph.condition_nodes()}
+    condition_labels = set(labels(nba_graph, CONDITION))
     assert condition_labels
     for edge in nba_graph.edges:
         assert edge.dst.label not in condition_labels or edge.dst.kind != CONDITION
@@ -92,12 +96,12 @@ def test_confidence_sits_on_dependency_edges(nba_graph):
 
 
 def test_applications_into(nba_graph):
-    apps = nba_graph.applications_into("Team")
+    apps = nba_graph.applications["Team"]
     assert [a.rule_id for a in apps] == ["f2", "f4", "f6"]
     f6 = apps[2]
     assert f6.determinants == ("Start-End",)
     assert f6.conditions == (("Coach", "A.Hannum"),)
-    assert nba_graph.applications_into("Coach") == []
+    assert "Coach" not in nba_graph.applications
 
 
 class TestDot:
@@ -150,15 +154,15 @@ def test_logic_nodes_are_the_junction_applications(nba_graph):
     junctions = {
         app.rule_id
         for attr in ("Arena", "Location", "Capacity", "Team")
-        for app in nba_graph.applications_into(attr)
+        for app in nba_graph.applications[attr]
         if app.junction
     }
-    assert junctions == {n.label for n in nba_graph.logic_nodes()} == {"f2", "f3", "f6"}
+    assert junctions == set(labels(nba_graph, LOGIC)) == {"f2", "f3", "f6"}
 
 
 def _feasible_by_brute_force(graph, table, row, attr):
     expected = []
-    for app in graph.applications_into(attr):
+    for app in graph.applications.get(attr, ()):
         if any(table.cell(row, a) != literal for a, literal in app.conditions):
             continue
         missing = [d for d in app.determinants if table.cell(row, d) is MISSING]
@@ -179,7 +183,7 @@ def test_feasible_matches_brute_force_on_random_cases():
                 for attr in table.columns:
                     found = graph.feasible(table, row, attr)
                     assert found == _feasible_by_brute_force(graph, table, row, attr)
-                    seen["condition fails"] += len(graph.applications_into(attr)) - len(found)
+                    seen["condition fails"] += len(graph.applications.get(attr, ())) - len(found)
                     for _, missing in found:
                         seen["determinant missing" if missing else "all present"] += 1
     assert min(seen.values()) >= 50, seen

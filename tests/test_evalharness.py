@@ -120,6 +120,13 @@ class TestSweep:
         assert len(failed) == 1 and failed[0].ratio == 0.95
         assert len(succeeded) == 1
         assert "failed" in result.summary()
+        records = list(csv.reader(io.StringIO(result.to_csv())))
+        # the failed run keeps its ratio and seed; only the ratio that ran
+        # has an average row
+        assert records[1] == ["0.95", "1", "", "", "", "", "", ""]
+        assert [r[:2] for r in records[2:]] == [["0.1", "1"], ["0.1", "avg"]]
+        untimed = list(csv.reader(io.StringIO(result.to_csv(include_timing=False))))
+        assert untimed[1] == ["0.95", "1", "", "", "", "", ""]
 
     def test_run_one_reports_wall_time(self, tiny_setup):
         table, ruleset, config, provider = tiny_setup

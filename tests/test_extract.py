@@ -29,7 +29,7 @@ class TestDictionary:
         table = Table("t", ["A"], [[MISSING], [MISSING]])
         with caplog.at_level("WARNING"):
             d = build_dictionary(table, "A")
-        assert len(d) == 0
+        assert d.entries == ()
         assert any("empty" in r.message for r in caplog.records)
 
     def test_extra_file_extends_entries(self, nba_table, tmp_path):

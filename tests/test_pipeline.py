@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import pytest
 
 from webimpute import (
@@ -37,6 +40,20 @@ class FlakyProvider:
         if self.remaining > 0:
             self.remaining -= 1
             raise ProviderError("transient outage")
+        return self.inner.query(q)
+
+
+class MiningOutageProvider:
+    """Fails every pattern-mining query (a pair of values) and answers the
+    cell queries, whose last keyword is the sink attribute's name."""
+
+    def __init__(self, inner, attrs):
+        self.inner = inner
+        self.attrs = set(attrs)
+
+    def query(self, q):
+        if q.keywords[-1] not in self.attrs:
+            raise ProviderError("mining outage")
         return self.inner.query(q)
 
 
@@ -166,6 +183,48 @@ def test_pattern_cache_round_trip(nba_table, nba_ruleset, nba_provider, nba_conf
     b_table, _ = impute(nba_table, nba_ruleset, config, nba_provider)
     assert to_csv_text(a_table) == to_csv_text(b_table)
     assert cache.read_bytes() == first_bytes
+
+
+def test_provider_error_while_mining_leaves_the_pair_without_patterns(
+    nba_table, nba_ruleset, nba_provider, nba_config, tmp_path, caplog
+):
+    cache = tmp_path / "patterns.json"
+    config = replace(nba_config, pattern_cache=str(cache))
+    provider = MiningOutageProvider(nba_provider, nba_table.columns)
+    with caplog.at_level("WARNING", logger="webimpute.pipeline"):
+        out, report = impute(nba_table, nba_ruleset, config, provider)
+    pairs = [
+        ("Arena", "Capacity"), ("Arena", "Location"), ("Arena", "Team"),
+        ("Start-End", "Arena"), ("Start-End", "Team"), ("Team", "Arena"),
+    ]
+    assert [r.getMessage() for r in caplog.records if "mining" in r.getMessage()] == [
+        f"pattern mining for {pair} failed: mining outage" for pair in pairs
+    ]
+    assert json.loads(cache.read_text(encoding="utf-8")) == []
+    # the run finishes; the cells the patterns filled go to keyword extraction
+    assert report.counts[FILLED_PATTERN] == 0
+    location = next(o for o in report.outcomes if (o.row, o.attr) == (4, "Location"))
+    assert (location.outcome, location.value) == (FILLED_KEYWORD, "WheatonIL")
+    assert out.cell(4, "Location") == "WheatonIL"
+
+
+def test_pair_without_a_complete_tuple_mines_no_patterns(tmp_path, caplog):
+    # V is missing everywhere, so (K, V) has no mining evidence: the pair
+    # gets no patterns without a query or a warning, and keywords fill both
+    table = make_table(["K", "V"], [["k1", MISSING], ["k2", MISSING]])
+    ruleset = RuleSet(parse_rules("r: K -> V"), {("r", "V"): 1.0})
+    provider = LocalCorpusProvider([("d1", "k1 holds value v1."), ("d2", "k2 holds value v2.")])
+    values = tmp_path / "v.dict"
+    values.write_text("v1\nv2\n", encoding="utf-8")
+    cache = tmp_path / "patterns.json"
+    config = RunConfig(pattern_cache=str(cache), dictionaries={"V": str(values)})
+    with caplog.at_level("WARNING", logger="webimpute"):
+        out, report = impute(table, ruleset, config, provider)
+    assert caplog.records == []
+    assert json.loads(cache.read_text(encoding="utf-8")) == []
+    assert [(o.outcome, o.value) for o in report.outcomes] == [
+        (FILLED_KEYWORD, "v1"), (FILLED_KEYWORD, "v2"),
+    ]
 
 
 def test_reiterate_runs_one_extra_internal_sweep(tmp_path):

@@ -44,6 +44,31 @@ class TestLoad:
         assert table.columns == ["a", "b", "c"]
         assert table.rows == []
 
+    def test_leading_byte_order_mark_dropped(self, tmp_path):
+        # only the mark that opens the file goes; one inside a cell is data
+        path = tmp_path / "bom.csv"
+        path.write_bytes("\ufeffA,B\r\n\ufeffx,2\r\n".encode("utf-8"))
+        table = load_table(path)
+        assert table.columns == ["A", "B"]
+        assert table.rows == [["\ufeffx", "2"]]
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "nothing.csv"
+        path.write_bytes(b"")
+        with pytest.raises(TableError, match="empty file, expected a header row"):
+            load_table(path)
+
+    def test_empty_column_name_rejected(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("a,,c\n1,2,3\n", encoding="utf-8")
+        with pytest.raises(TableError, match=r"empty column name in header \(row 1\)"):
+            load_table(path)
+
+    def test_blank_trailing_line_skipped(self, tmp_path):
+        path = tmp_path / "trailing.csv"
+        path.write_text("a,b\n1,2\n\n", encoding="utf-8")
+        assert load_table(path).rows == [["1", "2"]]
+
     def test_ragged_row_cites_row_number(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("a,b,c,d,e,f,g\n1,2,3,4,5,6,7\n1,2,3,4,5,6\n", encoding="utf-8")
@@ -68,6 +93,20 @@ class TestLoad:
         assert table.cell(0, "a") is MISSING
         assert table.cell(0, "b") == ""
         assert table.cell(0, "a") != table.cell(0, "b")
+
+
+@pytest.mark.parametrize(
+    "columns, rows, message",
+    [
+        (["a", ""], [], "column names must be non-empty"),
+        (["a", "b", "a"], [], "column names must be unique"),
+        (["a", "b"], [["1", "2"], ["3"]], "row 2 has 1 cells, expected 2"),
+    ],
+    ids=["empty-name", "duplicate-name", "ragged-row"],
+)
+def test_table_constructor_rejects_bad_shape(columns, rows, message):
+    with pytest.raises(TableError, match=message):
+        Table("t", columns, rows)
 
 
 def test_with_cells_equals_folded_with_cell():
