@@ -1,11 +1,11 @@
 """Command-line interface: impute, mine-patterns, mask, eval, sweep, sdg.
 
 Exit codes: 0 success, 1 usage or configuration error (a ``mine-patterns``
-count below 1 too), 2 data error.  Partial web failures are recorded in the
-report and do not affect the exit code.  ``--config file.json`` supplies run
-settings (field names mirror RunConfig); explicit flags win over the file.
-``--log-level`` (before the subcommand) sets what the ``webimpute`` loggers
-print to stderr.
+count below 1 or a mask ratio outside [0, 1] too), 2 data error.  Partial web
+failures are recorded in the report and do not affect the exit code.
+``--config file.json`` supplies run settings (field names mirror RunConfig);
+explicit flags win over the file.  ``--log-level`` (before the subcommand)
+sets what the ``webimpute`` loggers print to stderr.
 """
 
 from __future__ import annotations
@@ -48,15 +48,38 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _positive_int(text: str) -> int:
-    """An argparse ``type``: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _checked(kind, holds, expected: str):
+    """An argparse ``type``: a ``kind`` value for which ``holds`` is true."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not holds(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_ratio = _checked(float, lambda v: 0.0 <= v <= 1.0, "a ratio in [0, 1]")
+
+
+def _comma_list(kind):
+    """An argparse ``type``: a non-empty comma-separated list of ``kind``."""
+
+    def parse(text: str) -> list:
+        try:
+            values = [kind(part) for part in text.split(",") if part.strip()]
+        except ValueError:
+            values = []
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected comma-separated values, got {text!r}")
+        return values
+
+    return parse
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -108,7 +131,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("mask", help="mask a complete table for an experiment")
     p.add_argument("--table", required=True)
-    p.add_argument("--ratio", type=float, required=True)
+    p.add_argument("--ratio", type=_ratio, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--protect", action="append", default=[], metavar="ATTR")
     p.add_argument("--rules", help="optional rules for the imputability check")
@@ -124,8 +147,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--table", required=True)
     p.add_argument("--rules", required=True)
     _add_run_flags(p)
-    p.add_argument("--ratios", required=True, help="comma-separated, e.g. 0.05,0.2")
-    p.add_argument("--seeds", default="1,2,3,4,5", help="comma-separated (default 1-5)")
+    p.add_argument("--ratios", type=_comma_list(_ratio), required=True,
+                   help="comma-separated, e.g. 0.05,0.2")
+    p.add_argument("--seeds", type=_comma_list(int), default="1,2,3,4,5",
+                   help="comma-separated (default 1-5)")
     p.add_argument("--protect", action="append", default=[], metavar="ATTR")
     p.add_argument("--out", required=True, help="per-run metrics CSV")
     p.add_argument("--report", help="plain-text summary (default: stdout)")
@@ -279,24 +304,13 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _parse_list(text: str, kind, flag: str) -> list:
-    try:
-        return [kind(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise _UsageError(f"{flag} expects comma-separated values, got {text!r}") from None
-
-
 def _cmd_sweep(args) -> int:
     config = _load_config(args)
     provider = _build_provider(args, config)
     table = load_table(args.table)
     ruleset = RuleSet.estimate(parse_rules_file(args.rules), table)
-    ratios = _parse_list(args.ratios, float, "--ratios")
-    seeds = _parse_list(args.seeds, int, "--seeds")
-    if not ratios or not seeds:
-        raise _UsageError("--ratios and --seeds must be non-empty")
     result = sweep(
-        table, ruleset, config, provider, ratios, seeds, protected=args.protect
+        table, ruleset, config, provider, args.ratios, args.seeds, protected=args.protect
     )
     Path(args.out).write_text(result.to_csv(), encoding="utf-8")
     summary = result.summary()

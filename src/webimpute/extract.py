@@ -126,7 +126,7 @@ def extract_by_keywords(
     keywords: list[str],
     dictionary: Dictionary,
 ) -> str | None:
-    """Minimum-average-distance dictionary candidate across all documents.
+    """Minimum-average-distance dictionary candidate across ranked ``documents``.
 
     ``keywords`` come from keyword-group rendering, so the final element is
     the sink attribute name and only the preceding value keywords anchor
@@ -139,7 +139,7 @@ def extract_by_keywords(
         return None
     anchors = [(kw, seq) for kw in keywords[:-1] if (seq := tokenize(kw))]
     best: tuple[float, int, int, str] | None = None
-    for doc in sorted(documents, key=lambda d: d.rank):
+    for doc in documents:
         tokens = tokenize(doc.text)
         positions = {}
         for anchor, seq in anchors:

@@ -110,8 +110,8 @@ def enumerate_single_sink_graphs(
 
     Branch and bound: a branch is cut once ``limit`` graphs are held and no
     completion of it can rank ahead of the last one held.  Edge weights lie in
-    [0, 1] (``RuleSet`` admits no other), so the weight product so far,
-    multiplied in the order the final weight is, bounds every completion's
+    [0, 1] (``RuleSet`` admits no other), so the weight product so far, which
+    is the graph's weight once the branch completes, bounds every completion's
     weight from above; on a weight tie, ``_beaten`` bounds the rest of the key
     from below.  A completion that ties the last held graph on the whole key
     comes later and loses the tie.
@@ -149,7 +149,7 @@ def enumerate_single_sink_graphs(
                 return
             todo = _push(rest, attr, path, expands[attr])
         if todo is None:
-            g = _finalize(table, row, sink, chosen)  # its weight is ``weight`` > 0
+            g = _finalize(table, row, sink, chosen, weight)
             insort(ranked, g, key=_RANK)
             del ranked[limit:]
             return
@@ -243,9 +243,9 @@ def _closure(
 
 
 def _finalize(
-    table: Table, row: int, sink: str, apps: dict[str, RuleApplication]
+    table: Table, row: int, sink: str, apps: dict[str, RuleApplication], weight: float
 ) -> SinkGraph:
-    """Fix discovery order by BFS from the sink and compute the weight."""
+    """The graph choosing ``apps``, of weight ``weight``, sources in BFS order."""
     sources: list[str] = []
     values: list[str] = []
     literals: list[str] = []
@@ -267,9 +267,6 @@ def _finalize(
             else:
                 queue.append(det)
         literals.extend(literal for _, literal in app.conditions)
-    weight = 1.0
-    for app in apps.values():  # one edge per derived attribute, in insertion
-        weight *= app.weight  # order: the search's weight bound relies on it
     return SinkGraph(
         sink=sink,
         applications=tuple(sorted(apps.items())),

@@ -21,9 +21,9 @@ the number of sampled tuples, the pages per query and ``max_gap`` must each
 be at least 1.
 
 Extraction runs the mirror image and predicts only the second attribute:
-find the first attribute's known value in a document, find the context
-sitting against where the unknown value must be, and read the adjacent
-token span through the second attribute's dictionary.
+given the first attribute's known value, find it in a document, find the
+context sitting against where the unknown value must be, and read the
+adjacent token span through the second attribute's dictionary.
 """
 
 from __future__ import annotations
@@ -156,28 +156,19 @@ def mine_patterns(
 
 def extract_by_pattern(
     pattern: Pattern,
-    table: Table,
-    row: int,
-    sink: str,
+    known_value: str,
     provider: SearchProvider,
     dictionary: Dictionary,
     pages: int = 5,
     max_gap: int = MAX_GAP,
 ) -> str | None:
-    """Value for ``(row, sink)`` extracted through a mined pattern, or None.
+    """The ``pattern.attr2`` value next to ``known_value``, an ``attr1`` value, or None.
 
-    ``sink`` must be the attribute the pattern predicts, ``pattern.attr2``.
-    Queries the provider with the row's ``attr1`` value plus the context
-    tokens, scans the results in rank order for that value with the context
-    in the right place, and reads the adjacent span through the dictionary.
-    The first successful dictionary match wins.
+    Queries the provider with the known value plus the context tokens, scans
+    the results in the provider's rank order for that value with the context
+    in the right place, and reads the adjacent span through ``dictionary``,
+    the ``attr2`` dictionary.  The first successful dictionary match wins.
     """
-    if sink != pattern.attr2:
-        raise ValueError(f"pattern {pattern.attr1}/{pattern.attr2} does not cover {sink}")
-    known_value = table.cell(row, pattern.attr1)
-    if known_value is MISSING:
-        raise ValueError(f"known attribute {pattern.attr1} is missing in row {row}")
-
     known_seq = tokenize(known_value)
     ctx = list(pattern.context)
     length = len(ctx)
@@ -186,7 +177,7 @@ def extract_by_pattern(
     slack = max_gap - length
 
     documents = provider.query(Query((known_value, " ".join(ctx)), pages))
-    for doc in sorted(documents, key=lambda d: d.rank):
+    for doc in documents:
         tokens = tokenize(doc.text)
         for s in find_token_seq(tokens, known_seq):
             if pattern.direction == FORWARD:

@@ -228,7 +228,6 @@ def _extract_cell(
     cell: tuple[int, str],
     graph: SinkGraph,
     alternatives: list[dict],
-    table: Table,
     provider: SearchProvider,
     config: RunConfig,
     patterns: dict[tuple[str, str], list[Pattern]],
@@ -244,13 +243,11 @@ def _extract_cell(
         alternatives=alternatives,
     )
     try:
-        for source in graph.source_attrs:
+        for source, known_value in zip(graph.source_attrs, graph.source_values):
             for pattern in patterns.get((source, attr), ()):
                 value = extract_by_pattern(
                     pattern,
-                    table,
-                    row,
-                    attr,
+                    known_value,
                     provider,
                     dictionary,
                     pages=config.pages,
@@ -337,8 +334,7 @@ def impute(
     for cell in sorted(plans):
         best, alternatives = plans[cell]
         outcome = _extract_cell(
-            cell, best, alternatives, internal_table, provider, config,
-            mined, dictionaries[cell[1]],
+            cell, best, alternatives, provider, config, mined, dictionaries[cell[1]]
         )
         outcomes[cell] = outcome
         if outcome.value is not None:

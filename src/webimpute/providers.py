@@ -56,7 +56,8 @@ class Document:
 
 
 class SearchProvider(Protocol):  # pragma: no cover - structural type only
-    def query(self, q: Query) -> list[Document]: ...
+    def query(self, q: Query) -> list[Document]:
+        """Documents in rank order, ``result[i].rank == i``: callers scan it as is."""
 
 
 def load_corpus(path: str | Path) -> list[tuple[str, str]]:
@@ -79,15 +80,16 @@ class LocalCorpusProvider:
 
     A document's score is the number of distinct case-folded query keywords
     whose token sequence occurs in it; zero-score documents are excluded and
-    ties break on the document id.  Results are a pure function of
+    ties break on ``(id, text)``.  Results are a pure function of
     (corpus, query), and growing the page budget only extends the list.
 
-    The first query tokenises the corpus into a token -> document inverted
-    index (built once, under a lock, since callers may share one provider
-    across threads).  A keyword's matching documents are then its token's
-    posting list, or, for a multi-token keyword, the documents on its rarest
-    token's posting list that contain the whole sequence; each keyword's
-    match set is memoised.
+    The first query sorts the documents into ``(id, text)`` order, so a
+    document's index is its tie-break, and builds a token -> index inverted
+    index (once, under a lock, since callers may share one provider across
+    threads).  A keyword's matching documents are then its token's posting
+    list, or, for a multi-token keyword, the documents on its rarest token's
+    posting list that contain the whole sequence; each keyword's match set is
+    memoised.
     """
 
     def __init__(self, docs: Iterable[tuple[str, str]], page_size: int = PAGE_SIZE):
@@ -105,9 +107,10 @@ class LocalCorpusProvider:
         return cls(load_corpus(path), page_size=page_size)
 
     def _index(self) -> list[list[str]]:
-        """Per-document tokens; builds the posting lists on first use."""
+        """Per-document tokens; sorts the documents and indexes them on first use."""
         with self._lock:
             if self._tokens is None:
+                self.docs.sort()
                 tokens = [tokenize(text) for _, text in self.docs]
                 for i, doc_tokens in enumerate(tokens):
                     for token in dict.fromkeys(doc_tokens):
@@ -133,13 +136,10 @@ class LocalCorpusProvider:
         needles = dict.fromkeys(tuple(tokenize(kw)) for kw in q.keywords)
         needles.pop((), None)
         scores = Counter(i for n in needles for i in self._match(n, tokens))
-        scored = sorted(
-            (-score, *self.docs[i], score) for i, score in scores.items()
-        )
-        limit = q.pages * self.page_size
+        ranked = sorted((-score, i) for i, score in scores.items())
         return [
-            Document(doc_id, text, rank, float(score))
-            for rank, (_, doc_id, text, score) in enumerate(scored[:limit])
+            Document(*self.docs[i], rank, float(-negated))
+            for rank, (negated, i) in enumerate(ranked[: q.pages * self.page_size])
         ]
 
 

@@ -165,6 +165,24 @@ def random_corpus_case(rng: random.Random):
     return docs, queries, rng.randint(1, 4)
 
 
+def tied_corpus_case(rng: random.Random):
+    """More matching documents than the page cut, scored 1 or 2, on few ids.
+
+    Every document contains ``alpha``, so every one matches; ids come from at
+    most three, so many documents share an id and differ in text, and equal
+    scores pile up on both sides of the ``pages * page_size`` cut.
+    """
+    page_size, pages = rng.randint(1, 4), rng.randint(1, 3)
+    cut = pages * page_size
+    ids = [f"d{i}" for i in range(rng.randint(1, 3))]
+    docs = []
+    for _ in range(cut + rng.randint(1, 2 * cut)):
+        words = ["alpha"] + [rng.choice(["beta", "pad", "Pad"]) for _ in range(rng.randint(0, 3))]
+        rng.shuffle(words)
+        docs.append((rng.choice(ids), " ".join(words)))
+    return docs, Query(("alpha", "beta"), pages), page_size
+
+
 def maximal_patterns_oracle(supports, attr_pair, min_support: int) -> list[Pattern]:
     """Maximal qualifying patterns by comparing every pair of contexts.
 

@@ -612,3 +612,31 @@ def test_mine_patterns_count_flags_are_usage_errors(tmp_path, capsys, flag, valu
     err = capsys.readouterr().err
     assert code == 1
     assert flag in err and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("mask", ["--ratio", "1.5"]),
+        ("mask", ["--ratio", "-0.2"]),
+        ("sweep", ["--ratios", "1.5,-0.2"]),
+        ("sweep", ["--ratios", "0.2,nan"]),
+        ("sweep", ["--ratios", ","]),
+        ("sweep", ["--ratios", "0.2", "--seeds", ","]),
+        ("sweep", ["--ratios", "0.2", "--seeds", "1,x"]),
+    ],
+)
+def test_bad_mask_ratio_or_seed_list_is_usage_error(tmp_path, capsys, command, flags):
+    # the table does not exist: a usage error is raised before any file is read
+    absent = str(tmp_path / "absent")
+    out = tmp_path / "out.csv"
+    paths = {
+        "mask": ["--seed", "1", "--truth", absent + ".json"],
+        "sweep": ["--rules", absent + ".rules", "--corpus", absent + ".jsonl"],
+    }
+    code = run(
+        command, "--table", absent + ".csv", *paths[command], *flags, "--out", str(out)
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert flags[-2] in err and not out.exists()

@@ -178,9 +178,6 @@ def test_maximal_patterns_match_pairwise_oracle_on_random_corpora():
 class TestExtract:
     def test_worked_arena_location_snippet(self):
         pattern = Pattern("Arena", "Location", ("in",), FORWARD, 2)
-        table = make_table(
-            ["Arena", "Location"], [["WheatonFieldHouse", MISSING]]
-        )
         provider = LocalCorpusProvider(
             [
                 ("d0", "Get information about WheatonFieldHouse in Wheaton, IL, "
@@ -188,63 +185,42 @@ class TestExtract:
             ]
         )
         d = Dictionary("Location", ("WheatonIL", "SanFrancsicoCA"))
-        assert extract_by_pattern(pattern, table, 0, "Location", provider, d) == "WheatonIL"
+        assert extract_by_pattern(pattern, "WheatonFieldHouse", provider, d) == "WheatonIL"
 
     def test_film_director_extraction(self, film_fixture):
         table, _ = film_fixture
         pattern = Pattern("Film", "Director", ("director",), FORWARD, 7)
-        row = make_table(["Film", "Director"], [["Se7en", MISSING]])
         provider = LocalCorpusProvider(
             [("d", "Se7en director David Fincher came up at the panel.")]
         )
         d = Dictionary("Director", tuple(r[1] for r in table.rows))
-        assert extract_by_pattern(pattern, row, 0, "Director", provider, d) == "David Fincher"
+        assert extract_by_pattern(pattern, "Se7en", provider, d) == "David Fincher"
 
     def test_reverse_pattern_reads_before_context(self):
         pattern = Pattern("Film", "Director", ("director", "of"), REVERSE, 7)
-        row = make_table(["Film", "Director"], [["Fight Club", MISSING]])
         provider = LocalCorpusProvider([("d", "David Fincher director of Fight Club.")])
         d = Dictionary("Director", ("David Fincher", "Milos Forman"))
-        assert extract_by_pattern(pattern, row, 0, "Director", provider, d) == "David Fincher"
+        assert extract_by_pattern(pattern, "Fight Club", provider, d) == "David Fincher"
 
     def test_context_may_float_away_from_known_value(self):
         # the pattern context is anchored at the unknown side; extra words next
         # to the known value must not break extraction
         pattern = Pattern("principal", "university", ("the", "principal", "of"), FORWARD, 2)
-        row = make_table(["principal", "university"], [["Bo Li", MISSING]])
         provider = LocalCorpusProvider(
             [("d", "Bo Li is currently the principal of Fudan University")]
         )
         d = Dictionary("university", ("Fudan University", "Peking University"))
-        assert extract_by_pattern(pattern, row, 0, "university", provider, d) == "Fudan University"
+        assert extract_by_pattern(pattern, "Bo Li", provider, d) == "Fudan University"
 
     def test_no_document_with_known_value(self):
         pattern = Pattern("A", "B", ("in",), FORWARD, 1)
-        row = make_table(["A", "B"], [["alpha", MISSING]])
         provider = LocalCorpusProvider([("d", "unrelated text in here")])
-        assert extract_by_pattern(pattern, row, 0, "B", provider, Dictionary("B", ("x",))) is None
+        assert extract_by_pattern(pattern, "alpha", provider, Dictionary("B", ("x",))) is None
 
     def test_dictionary_miss_returns_none(self):
         pattern = Pattern("A", "B", ("in",), FORWARD, 1)
-        row = make_table(["A", "B"], [["alpha", MISSING]])
         provider = LocalCorpusProvider([("d", "alpha in unknownvalue")])
-        assert extract_by_pattern(pattern, row, 0, "B", provider, Dictionary("B", ("x",))) is None
-
-    def test_missing_known_value_rejected(self):
-        pattern = Pattern("A", "B", ("in",), FORWARD, 1)
-        row = make_table(["A", "B"], [[MISSING, MISSING]])
-        provider = LocalCorpusProvider([])
-        with pytest.raises(ValueError, match="missing"):
-            extract_by_pattern(pattern, row, 0, "B", provider, Dictionary("B", ("x",)))
-
-    def test_pattern_not_covering_sink_rejected(self):
-        pattern = Pattern("A", "B", ("in",), FORWARD, 1)
-        row = make_table(["A", "B", "C"], [["a", "b", MISSING]])
-        for sink in ("C", "A"):  # a pattern predicts only its second attribute
-            with pytest.raises(ValueError, match="cover"):
-                extract_by_pattern(
-                    pattern, row, 0, sink, LocalCorpusProvider([]), Dictionary(sink, ("x",))
-                )
+        assert extract_by_pattern(pattern, "alpha", provider, Dictionary("B", ("x",))) is None
 
 
 def test_mine_then_extract_round_trip():
@@ -262,9 +238,8 @@ def test_mine_then_extract_round_trip():
         patterns = mine_patterns(provider, table, ("A", "B"), min_support=n - 1, sample=n)
         assert patterns, f"no pattern for context {ctx}"
         target = rng.randrange(n)
-        masked = table.with_cell(target, "B", MISSING)
         d = Dictionary("B", tuple(r[1] for r in rows))
-        value = extract_by_pattern(patterns[0], masked, target, "B", provider, d)
+        value = extract_by_pattern(patterns[0], rows[target][0], provider, d)
         assert value == rows[target][1]
 
 

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from oracles import random_corpus_case, scan_query_oracle
+from oracles import random_corpus_case, scan_query_oracle, tied_corpus_case
 from webimpute import Document, HttpProvider, LocalCorpusProvider, ProviderError, Query
 from webimpute.providers import load_corpus, strip_tags
 
@@ -95,6 +95,21 @@ class TestLocalProvider:
             provider = LocalCorpusProvider(docs, page_size=page_size)
             for q in queries + queries[:1]:  # the repeat is served from the memo
                 assert provider.query(q) == scan_query_oracle(docs, q, page_size)
+
+    def test_ties_across_the_page_cut_match_scan_oracle(self):
+        # shared ids with differing texts: the tie-break reads the text too
+        rng = random.Random(20261019)
+        straddling = 0
+        for _ in range(300):
+            docs, q, page_size = tied_corpus_case(rng)
+            cut = q.pages * page_size
+            ranked = scan_query_oracle(docs, Query(q.keywords, len(docs)), 1)
+            straddling += ranked[cut - 1].score == ranked[cut].score and (
+                ranked[cut - 1].id == ranked[cut].id
+            )
+            provider = LocalCorpusProvider(docs, page_size=page_size)
+            assert provider.query(q) == ranked[:cut]
+        assert straddling >= 100, straddling
 
     def test_concurrent_first_queries_match_serial(self):
         docs = [(f"d{i:03d}", f"alpha beta w{i % 7} gamma {i}") for i in range(300)]
@@ -205,6 +220,20 @@ def http_server():
         server.server_close()
         thread.join(timeout=5)
         assert not thread.is_alive()
+
+
+def test_rank_is_list_position(http_server):
+    rng = random.Random(20261020)
+    results = [
+        HttpProvider(
+            f"http://127.0.0.1:{http_server}/?q={{query}}&p={{page}}", delay_ms=0
+        ).query(Query(("alpha",), pages=3))
+    ]
+    for _ in range(50):
+        docs, q, page_size = tied_corpus_case(rng)
+        results.append(LocalCorpusProvider(docs, page_size=page_size).query(q))
+    for result in results:
+        assert result and [d.rank for d in result] == list(range(len(result)))
 
 
 def test_strip_tags_unescapes_entities():
