@@ -4,7 +4,8 @@ A sweep masks the complete input table at each (ratio, seed) grid point,
 re-estimates rule confidences on the masked table, runs the pipeline, and
 scores the result against the mask's ground truth.  Accuracy is judged over
 attempted fills and the filling ratio over all masked cells, so the two
-metrics stay independent.  Per-run failures are recorded, never fatal.
+metrics stay independent.  A grid point's own failure, a ratio it cannot
+mask (:class:`MaskError`), is recorded; any other error ends the sweep.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterable, Sequence
 from .pipeline import RunConfig, impute
 from .providers import SearchProvider
 from .rules import RuleSet
-from .tabular import MISSING, MaskedCell, MaskSpec, Table, mask_random
+from .tabular import MISSING, MaskedCell, MaskError, MaskSpec, Table, mask_random
 
 log = logging.getLogger(__name__)
 
@@ -174,7 +175,7 @@ def sweep(
                     table, ruleset, config, provider, ratio, seed, protected
                 )
                 rows.append(SweepRow(ratio, seed, metrics))
-            except Exception as exc:  # recorded, sweep continues
+            except MaskError as exc:  # recorded, sweep continues
                 log.warning("sweep cell ratio=%g seed=%d failed: %s", ratio, seed, exc)
                 rows.append(SweepRow(ratio, seed, None, error=str(exc)))
     return SweepResult(rows)

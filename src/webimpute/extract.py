@@ -139,7 +139,7 @@ def extract_by_keywords(
         return None
     anchors = [(kw, seq) for kw in keywords[:-1] if (seq := tokenize(kw))]
     best: tuple[float, int, int, str] | None = None
-    for doc in documents:
+    for rank, doc in enumerate(documents):
         tokens = tokenize(doc.text)
         positions = {}
         for anchor, seq in anchors:
@@ -149,7 +149,7 @@ def extract_by_keywords(
         if not positions:
             continue
         for pos, entry in dictionary.occurrences(tokens):
-            candidate = (avg_distance(pos, positions), doc.rank, pos, entry)
+            candidate = (avg_distance(pos, positions), rank, pos, entry)
             if best is None or candidate < best:
                 best = candidate
     return best[3] if best is not None else None

@@ -22,8 +22,8 @@ count and attribute set from below.  The dependency graph decides which
 applications can supply an attribute (``DependencyGraph.feasible``, memoised
 per call) and which form logic nodes (``RuleApplication.junction``).
 
-``select_optimal`` keeps the best graph only when its weight reaches the
-group threshold; ``render_keywords`` turns a graph into an ordered keyword
+``select_optimal`` keeps the first (best) graph only when its weight reaches
+the group threshold; ``render_keywords`` turns a graph into an ordered keyword
 list - the source values it recorded, in breadth-first discovery order, then
 condition literals, then the sink attribute name.
 """
@@ -283,17 +283,14 @@ def render_keywords(graph: SinkGraph) -> list[str]:
 
 
 def select_optimal(graphs: list[SinkGraph], K: float) -> SinkGraph | None:
-    """The maximum-weight graph, or ABSTAIN (None).
+    """The first graph, or ABSTAIN (None).
 
-    Abstains when the list is empty or the best weight falls below ``K``.
-    Ties prefer fewer nodes, then the lexicographically smallest sorted
-    attribute-name sequence.
+    ``graphs`` are in ``SinkGraph.rank`` order, as
+    ``enumerate_single_sink_graphs`` returns them.  Abstains when the list is
+    empty or the first graph's weight falls below ``K``.
     """
     if not 0.0 <= K <= 1.0:
         raise ValueError(f"group threshold must be in [0,1], got {K}")
-    if not graphs:
+    if not graphs or graphs[0].weight < K:
         return ABSTAIN
-    best = min(graphs, key=_RANK)
-    if best.weight < K:
-        return ABSTAIN
-    return best
+    return graphs[0]

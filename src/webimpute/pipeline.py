@@ -1,14 +1,15 @@
 """End-to-end imputation: internal pass, then per-cell web extraction.
 
 Phase 1 fills what the table's own dependencies can justify.  Phase 2 walks
-the remaining missing cells in row-major order: select the optimal keyword
-group (abstain if its weight is below the group threshold), try mined
-patterns for the group's (source, sink) attribute pairs, and fall back to
-keyword-group extraction when no pattern produces a value.  Phase 2 runs
-serially, one cell at a time; every cell is evaluated against the phase-1
-snapshot and its fill is applied afterwards, so no phase-2 fill influences
-another cell.  Provider failures mark the cell abstained and never abort a
-run.
+the remaining missing cells in row-major order, in the table's column order
+within a row: select the optimal keyword group (abstain if its weight is
+below the group threshold), try mined patterns for the group's (source, sink)
+attribute pairs, and fall back to keyword-group extraction when no pattern
+produces a value.  Rules and dictionaries may name only table columns, and
+dictionary files are read before the first query.  Phase 2 runs serially,
+one cell at a time; every cell is evaluated against the phase-1 snapshot and
+its fill is applied afterwards, so no phase-2 fill influences another cell.
+Provider failures mark the cell abstained and never abort a run.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .patterns import (
     mine_patterns,
     save_patterns,
 )
-from .providers import ProviderError, Query, SearchProvider
+from .providers import PAGE_SIZE, ProviderError, Query, SearchProvider
 from .rules import RuleSet
 from .tabular import Table, dump_json
 
@@ -67,7 +68,7 @@ class RunConfig:
     max_rounds: int = 10
     max_concurrent_queries: int = 4  # accepted and echoed only: phase 2 is serial
     max_gap: int = MAX_GAP
-    page_size: int = 10
+    page_size: int = PAGE_SIZE
     query_retries: int = 2         # extra attempts after a retryable failure
     dictionaries: dict[str, str] = field(default_factory=dict)  # attr -> extra file
     pattern_cache: str | None = None
@@ -277,11 +278,11 @@ def impute(
     provider: SearchProvider,
 ) -> tuple[Table, RunReport]:
     """Run the full flow and report one outcome per initially-missing cell."""
-    missing_refs = ruleset.referenced_attrs() - set(table.columns)
-    if missing_refs:
-        raise ValueError(
-            f"rules reference attributes not in table: {', '.join(sorted(missing_refs))}"
-        )
+    for named, attrs in [
+        ("rules reference", ruleset.referenced_attrs()), ("dictionaries name", config.dictionaries)
+    ]:
+        if unknown := sorted(set(attrs) - set(table.columns)):
+            raise ValueError(f"{named} attributes not in table: {', '.join(unknown)}")
     t_start = time.perf_counter()
     initial_missing = list(table.missing_cells())
     provider = _RetryingProvider(provider, config.query_retries)
@@ -316,6 +317,12 @@ def impute(
         else:
             plans[(row, attr)] = (best, alternatives)
 
+    # Before any query, so that a bad dictionary file costs none.
+    dictionaries = {
+        attr: build_dictionary(internal_table, attr, config.dictionaries.get(attr))
+        for attr in dict.fromkeys(attr for _, attr in plans)
+    }
+
     needed_pairs = sorted({
         (source, attr)
         for (_, attr), (best, _) in plans.items()
@@ -323,16 +330,8 @@ def impute(
     })
     mined = _mine_needed_patterns(needed_pairs, internal_table, provider, config)
 
-    dictionaries: dict[str, Dictionary] = {}
-    for _, attr in plans:
-        if attr not in dictionaries:
-            dictionaries[attr] = build_dictionary(
-                internal_table, attr, config.dictionaries.get(attr)
-            )
-
     fills = []
-    for cell in sorted(plans):
-        best, alternatives = plans[cell]
+    for cell, (best, alternatives) in plans.items():  # row-major, as initial_missing
         outcome = _extract_cell(
             cell, best, alternatives, provider, config, mined, dictionaries[cell[1]]
         )

@@ -1,6 +1,8 @@
 """Retrieval interface: keywords and a page budget in, ranked documents out.
 
-Two providers share one contract.  :class:`LocalCorpusProvider` serves a
+A result is a list of ``Document(id, text)``, best first: list order is the
+only statement of rank, and no provider returns a score.  Two providers
+share this contract.  :class:`LocalCorpusProvider` serves a
 JSON-Lines corpus deterministically and is what tests and experiments run
 against; :class:`HttpProvider` is a thin live HTTP client (one GET per page,
 tags stripped, no engine-specific parsing) whose failures surface as
@@ -51,13 +53,11 @@ class Query:
 class Document:
     id: str
     text: str
-    rank: int
-    score: float
 
 
 class SearchProvider(Protocol):  # pragma: no cover - structural type only
     def query(self, q: Query) -> list[Document]:
-        """Documents in rank order, ``result[i].rank == i``: callers scan it as is."""
+        """Documents best first: a document's rank is its index in the list."""
 
 
 def load_corpus(path: str | Path) -> list[tuple[str, str]]:
@@ -78,8 +78,8 @@ def load_corpus(path: str | Path) -> list[tuple[str, str]]:
 class LocalCorpusProvider:
     """Deterministic retrieval over an in-memory corpus.
 
-    A document's score is the number of distinct case-folded query keywords
-    whose token sequence occurs in it; zero-score documents are excluded and
+    Documents rank by score, the number of distinct case-folded query keywords
+    whose token sequence occurs in them; zero-score documents are excluded and
     ties break on ``(id, text)``.  Results are a pure function of
     (corpus, query), and growing the page budget only extends the list.
 
@@ -137,10 +137,7 @@ class LocalCorpusProvider:
         needles.pop((), None)
         scores = Counter(i for n in needles for i in self._match(n, tokens))
         ranked = sorted((-score, i) for i, score in scores.items())
-        return [
-            Document(*self.docs[i], rank, float(-negated))
-            for rank, (negated, i) in enumerate(ranked[: q.pages * self.page_size])
-        ]
+        return [Document(*self.docs[i]) for _, i in ranked[: q.pages * self.page_size]]
 
 
 _TAG_RE = re.compile(r"<[^>]*>")
@@ -202,6 +199,5 @@ class HttpProvider:
                     raise ProviderError(f"GET {url} failed: {exc}") from exc
                 finally:
                     self._last_request = time.monotonic()
-            rank = page - 1
-            out.append(Document(url, strip_tags(body), rank, 1.0 / (1 + rank)))
+            out.append(Document(url, strip_tags(body)))
         return out

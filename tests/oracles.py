@@ -1,4 +1,4 @@
-"""Independent brute-force oracles and random-case generators.
+"""Independent brute-force oracles, random-case generators and a query recorder.
 
 These deliberately avoid the library's internal machinery: frequencies are
 counted with plain loops, the best evidence subgraph is found by
@@ -22,6 +22,18 @@ from webimpute.patterns import FORWARD
 from webimpute.rules import RuleParseError
 from webimpute.tabular import MISSING
 from webimpute.textutil import tokenize
+
+
+class CountingProvider:
+    """Records the keywords of every query, then delegates."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.queries = []
+
+    def query(self, q):
+        self.queries.append(q.keywords)
+        return self.inner.query(q)
 
 
 def bayes_joints_oracle(table: Table, ruleset: RuleSet, row: int, attr: str):
@@ -118,8 +130,8 @@ def internal_fills_oracle(table: Table, ruleset: RuleSet, k: float, max_rounds: 
     return filled
 
 
-def scan_query_oracle(docs, q: Query, page_size: int) -> list[Document]:
-    """Local-corpus retrieval by scanning every document for every keyword."""
+def scan_ranking_oracle(docs, q: Query) -> list[tuple[int, Document]]:
+    """``(score, document)`` for every matching document, best first, by a scan."""
 
     def contains(tokens, needle):
         n = len(needle)
@@ -135,12 +147,14 @@ def scan_query_oracle(docs, q: Query, page_size: int) -> list[Document]:
         tokens = tokenize(text)
         score = sum(1 for n in needles if contains(tokens, n))
         if score > 0:
-            scored.append((-score, doc_id, text, score))
+            scored.append((-score, doc_id, text))
     scored.sort()
-    return [
-        Document(doc_id, text, rank, float(score))
-        for rank, (_, doc_id, text, score) in enumerate(scored[: q.pages * page_size])
-    ]
+    return [(-negated, Document(doc_id, text)) for negated, doc_id, text in scored]
+
+
+def scan_query_oracle(docs, q: Query, page_size: int) -> list[Document]:
+    """Local-corpus retrieval by scanning every document for every keyword."""
+    return [doc for _, doc in scan_ranking_oracle(docs, q)[: q.pages * page_size]]
 
 
 def random_corpus_case(rng: random.Random):

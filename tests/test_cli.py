@@ -517,7 +517,8 @@ def test_eval_prints_metrics_to_stdout(tmp_path, capsys):
     )
 
 
-def test_sweep_writes_csv_and_summary(tmp_path):
+def _sweep_files(tmp_path):
+    """Table, rules, corpus and V and W dictionaries of a small sweep."""
     table_path = tmp_path / "base.csv"
     rows = [f"k{i},v{i},w{i}" for i in range(8)]
     table_path.write_text("K,V,W\n" + "\n".join(rows) + "\n", encoding="utf-8")
@@ -536,6 +537,11 @@ def test_sweep_writes_csv_and_summary(tmp_path):
     v_dict.write_text("\n".join(f"v{i}" for i in range(8)) + "\n", encoding="utf-8")
     w_dict = tmp_path / "w.dict"
     w_dict.write_text("\n".join(f"w{i}" for i in range(8)) + "\n", encoding="utf-8")
+    return table_path, rules_path, corpus_path, v_dict, w_dict
+
+
+def test_sweep_writes_csv_and_summary(tmp_path):
+    table_path, rules_path, corpus_path, v_dict, w_dict = _sweep_files(tmp_path)
     out_path = tmp_path / "sweep.csv"
     summary_path = tmp_path / "summary.txt"
     code = run(
@@ -570,6 +576,40 @@ def test_sweep_writes_csv_and_summary(tmp_path):
             "--corpus", str(corpus_path), "--ratios", ratios, "--seeds", "1",
             "--out", str(out_path),
         ) == 1
+
+
+@pytest.mark.parametrize("command", ["impute", "sweep"])
+def test_unknown_dictionary_attribute_is_data_error(tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    if command == "impute":
+        argv = _impute_args(tmp_path, dict="Nope=x.dict")
+    else:
+        table_path, rules_path, corpus_path, v_dict, _ = _sweep_files(tmp_path)
+        argv = [
+            "sweep", "--table", str(table_path), "--rules", str(rules_path),
+            "--corpus", str(corpus_path), "--dict", f"v={v_dict}",
+            "--ratios", "0.2", "--seeds", "1", "--protect", "K", "--out", str(out),
+        ]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert "error: dictionaries name attributes not in table:" in err
+    assert not out.exists()
+
+
+def test_sweep_with_missing_dictionary_file_writes_no_csv(tmp_path, capsys):
+    table_path, rules_path, corpus_path, _, w_dict = _sweep_files(tmp_path)
+    missing = tmp_path / "missing.dict"
+    out = tmp_path / "sweep.csv"
+    code = run(
+        "sweep", "--table", str(table_path), "--rules", str(rules_path),
+        "--corpus", str(corpus_path), "--dict", f"V={missing}", "--dict", f"W={w_dict}",
+        "--ratios", "0.2,0.4", "--seeds", "1,2", "--protect", "K", "--out", str(out),
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and str(missing) in errors[0]
+    assert not out.exists()
 
 
 def test_mine_patterns_command(tmp_path):

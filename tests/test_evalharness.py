@@ -1,5 +1,6 @@
 import csv
 import io
+from dataclasses import replace
 
 import pytest
 
@@ -127,6 +128,12 @@ class TestSweep:
         assert [r[:2] for r in records[2:]] == [["0.1", "1"], ["0.1", "avg"]]
         untimed = list(csv.reader(io.StringIO(result.to_csv(include_timing=False))))
         assert untimed[1] == ["0.95", "1", "", "", "", "", ""]
+
+    def test_error_common_to_every_point_ends_the_sweep(self, tiny_setup, tmp_path):
+        table, ruleset, config, provider = tiny_setup
+        config = replace(config, dictionaries={"V": str(tmp_path / "missing.dict")})
+        with pytest.raises(FileNotFoundError):
+            sweep(table, ruleset, config, provider, [0.95, 0.3], [1], protected=["K"])
 
     def test_run_one_reports_wall_time(self, tiny_setup):
         table, ruleset, config, provider = tiny_setup

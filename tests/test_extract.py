@@ -16,8 +16,8 @@ SNIPPET = (
 )
 
 
-def doc(text, rank=0, doc_id=None):
-    return Document(doc_id or f"d{rank}", text, rank, 1.0)
+def doc(text, doc_id="d"):
+    return Document(doc_id, text)
 
 
 class TestDictionary:
@@ -102,9 +102,11 @@ class TestExtractByKeywords:
         assert extract_by_keywords([doc(text)], ["anchor", "Location"], d) == "right"
 
     def test_lower_rank_wins_ties(self):
+        # rank is list position: the earlier document wins in either order
         d = Dictionary("A", ("one", "two"))
-        docs = [doc("anchor two", rank=1), doc("anchor one", rank=0)]
-        assert extract_by_keywords(docs, ["anchor", "A"], d) == "one"
+        docs = [doc("anchor two"), doc("anchor one")]
+        assert extract_by_keywords(docs, ["anchor", "A"], d) == "two"
+        assert extract_by_keywords(docs[::-1], ["anchor", "A"], d) == "one"
 
     def test_earlier_position_breaks_distance_ties(self):
         d = Dictionary("A", ("bbb", "aaa"))
@@ -113,9 +115,9 @@ class TestExtractByKeywords:
 
     def test_document_without_keywords_contributes_nothing(self):
         d = Dictionary("A", ("lure",))
-        docs = [doc("lure right here with no keyword", rank=0), doc("anchor lure", rank=1)]
+        docs = [doc("lure right here with no keyword"), doc("anchor lure")]
         assert extract_by_keywords(docs, ["anchor", "A"], d) == "lure"
-        # the rank-0 document had a closer candidate but no anchor at all
+        # the first document had a closer candidate but no anchor at all
 
     def test_translation_invariance_within_document(self):
         d = Dictionary("A", ("near", "far"))
@@ -137,7 +139,7 @@ class TestExtractByKeywords:
 
     def test_adding_matchless_document_never_changes_result(self):
         d = Dictionary("A", ("val",))
-        docs = [doc("anchor pad val", rank=0)]
+        docs = [doc("anchor pad val")]
         base = extract_by_keywords(docs, ["anchor", "A"], d)
-        extended = docs + [doc("anchor only here", rank=1)]
+        extended = docs + [doc("anchor only here")]
         assert extract_by_keywords(extended, ["anchor", "A"], d) == base

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from oracles import maximal_patterns_oracle, random_mining_case
+from oracles import CountingProvider, maximal_patterns_oracle, random_mining_case
 from webimpute import (
     Dictionary,
     LocalCorpusProvider,
@@ -20,18 +20,6 @@ from webimpute.tabular import MISSING
 
 def make_table(columns, rows):
     return Table("t", list(columns), [list(r) for r in rows])
-
-
-class CountingProvider:
-    """Records the keywords of every query, then delegates."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.queries = []
-
-    def query(self, q):
-        self.queries.append(q.keywords)
-        return self.inner.query(q)
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from oracles import CountingProvider
 from webimpute import (
     MISSING,
     LocalCorpusProvider,
@@ -267,6 +268,40 @@ def test_rules_must_reference_table_attributes(nba_provider, nba_config):
     ruleset = RuleSet.estimate(parse_rules("r: A -> B"), make_table(["A", "B"], []))
     with pytest.raises(ValueError, match="reference"):
         impute(table, ruleset, nba_config, nba_provider)
+
+
+def test_dictionaries_must_name_table_attributes(nba_table, nba_ruleset, nba_config):
+    provider = CountingProvider(LocalCorpusProvider([]))
+    config = replace(nba_config, dictionaries={"location": "x.dict", "Nope": "y.dict"})
+    with pytest.raises(
+        ValueError, match="^dictionaries name attributes not in table: Nope, location$"
+    ):
+        impute(nba_table, nba_ruleset, config, provider)
+    assert provider.queries == []
+
+
+def test_missing_dictionary_file_fails_before_any_query(
+    nba_table, nba_ruleset, nba_provider, nba_config, tmp_path
+):
+    provider = CountingProvider(nba_provider)
+    missing = tmp_path / "missing.dict"
+    config = replace(nba_config, dictionaries={"Location": str(missing)})
+    with pytest.raises(FileNotFoundError, match="missing.dict"):
+        impute(nba_table, nba_ruleset, config, provider)
+    assert provider.queries == []
+
+
+def test_phase_two_queries_cells_in_row_major_order():
+    # Z comes before B in the table but after it by name; no row is complete,
+    # so phase 1 fills nothing and no pattern is mined: every query is a cell's
+    table = make_table(["K", "Z", "B"], [["k1", MISSING, MISSING], ["k2", MISSING, MISSING]])
+    ruleset = RuleSet(
+        parse_rules("r1: K -> Z\nr2: K -> B"), {("r1", "Z"): 1.0, ("r2", "B"): 1.0}
+    )
+    provider = CountingProvider(LocalCorpusProvider([]))
+    _, report = impute(table, ruleset, RunConfig(), provider)
+    assert [o.reason for o in report.outcomes] == ["no extraction"] * 4
+    assert provider.queries == [("k1", "Z"), ("k1", "B"), ("k2", "Z"), ("k2", "B")]
 
 
 def test_config_validation():

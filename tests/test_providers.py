@@ -6,7 +6,12 @@ import time
 
 import pytest
 
-from oracles import random_corpus_case, scan_query_oracle, tied_corpus_case
+from oracles import (
+    random_corpus_case,
+    scan_query_oracle,
+    scan_ranking_oracle,
+    tied_corpus_case,
+)
 from webimpute import Document, HttpProvider, LocalCorpusProvider, ProviderError, Query
 from webimpute.providers import load_corpus, strip_tags
 
@@ -29,7 +34,6 @@ class TestLocalProvider:
             ]
         )
         docs = provider.query(Query(("CivicAuditorium", "SanFrancsicoCA")))
-        assert docs[0].id == "d1" and docs[0].rank == 0
         assert [d.id for d in docs] == ["d1", "d2"]  # zero-score d3 excluded
 
     def test_no_match_is_empty(self):
@@ -37,18 +41,16 @@ class TestLocalProvider:
         assert provider.query(Query(("gamma",))) == []
 
     def test_page_budget_and_rank_contiguity(self):
-        # 25 matching docs with controlled scores: 5 contain both keywords
+        # 25 matching docs with controlled scores: the last 5 contain both
+        # keywords, so they lead, and the id tie-break orders the rest
         docs = []
         for i in range(25):
-            text = "alpha beta" if i < 5 else "alpha only"
+            text = "alpha beta" if i >= 20 else "alpha only"
             docs.append((f"d{i:02d}", text))
         provider = LocalCorpusProvider(docs)
         result = provider.query(Query(("alpha", "beta"), pages=2))
-        assert len(result) == 20
-        assert [d.rank for d in result] == list(range(20))
-        scores = [d.score for d in result]
-        assert scores == sorted(scores, reverse=True)
-        assert scores[:5] == [2.0] * 5 and scores[5] == 1.0
+        expected = [*range(20, 25), *range(15)]
+        assert [d.id for d in result] == [f"d{i:02d}" for i in expected]
 
     def test_prefix_property(self):
         docs = [(f"d{i:02d}", "alpha") for i in range(25)]
@@ -68,9 +70,11 @@ class TestLocalProvider:
         assert [d.id for d in provider.query(Query(("alpha",)))] == ["a", "b"]
 
     def test_score_counts_distinct_keywords(self):
-        provider = LocalCorpusProvider([("d", "alpha beta alpha")])
+        # duplicates collapse: "a" scores 1 and ranks after "b" (2), where a
+        # repeated keyword counted twice would tie it with "b" and win on id
+        provider = LocalCorpusProvider([("a", "alpha gamma alpha"), ("b", "alpha beta")])
         docs = provider.query(Query(("alpha", "alpha", "beta")))
-        assert docs[0].score == 2.0  # duplicates collapse
+        assert [d.id for d in docs] == ["b", "a"]
 
     def test_multi_token_keyword_is_sequence_match(self):
         provider = LocalCorpusProvider(
@@ -103,12 +107,11 @@ class TestLocalProvider:
         for _ in range(300):
             docs, q, page_size = tied_corpus_case(rng)
             cut = q.pages * page_size
-            ranked = scan_query_oracle(docs, Query(q.keywords, len(docs)), 1)
-            straddling += ranked[cut - 1].score == ranked[cut].score and (
-                ranked[cut - 1].id == ranked[cut].id
-            )
+            ranked = scan_ranking_oracle(docs, q)
+            (last_score, last), (next_score, after) = ranked[cut - 1], ranked[cut]
+            straddling += last_score == next_score and last.id == after.id
             provider = LocalCorpusProvider(docs, page_size=page_size)
-            assert provider.query(q) == ranked[:cut]
+            assert provider.query(q) == [doc for _, doc in ranked[:cut]]
         assert straddling >= 100, straddling
 
     def test_concurrent_first_queries_match_serial(self):
@@ -182,8 +185,6 @@ class TestHttpProvider:
         )
         docs = provider.query(Query(("alpha",), pages=2))
         assert len(docs) == 2
-        assert [d.rank for d in docs] == [0, 1]
-        assert docs[0].score >= docs[1].score
         assert "alpha beta" in docs[0].text and "<p>" not in docs[0].text
         assert "p=1" in docs[0].id and "p=2" in docs[1].id
 
@@ -222,25 +223,11 @@ def http_server():
         assert not thread.is_alive()
 
 
-def test_rank_is_list_position(http_server):
-    rng = random.Random(20261020)
-    results = [
-        HttpProvider(
-            f"http://127.0.0.1:{http_server}/?q={{query}}&p={{page}}", delay_ms=0
-        ).query(Query(("alpha",), pages=3))
-    ]
-    for _ in range(50):
-        docs, q, page_size = tied_corpus_case(rng)
-        results.append(LocalCorpusProvider(docs, page_size=page_size).query(q))
-    for result in results:
-        assert result and [d.rank for d in result] == list(range(len(result)))
-
-
 def test_strip_tags_unescapes_entities():
     assert strip_tags("<b>a &amp; b</b>").strip() == "a & b"
 
 
 def test_document_is_frozen():
-    doc = Document("d", "text", 0, 1.0)
+    doc = Document("d", "text")
     with pytest.raises(AttributeError):
-        doc.rank = 2
+        doc.text = "other"
