@@ -65,6 +65,11 @@ def _checked(kind, holds, expected: str):
 
 _positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _ratio = _checked(float, lambda v: 0.0 <= v <= 1.0, "a ratio in [0, 1]")
+_attr_pair = _checked(
+    lambda text: tuple(part.strip() for part in text.split(",", 1)),
+    lambda v: len(v) == 2 and all(v),
+    "A1,A2",
+)
 
 
 def _comma_list(kind):
@@ -123,7 +128,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("mine-patterns", help="mine text patterns for one attribute pair")
     p.add_argument("--table", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--pair", required=True, metavar="A1,A2")
+    p.add_argument("--pair", type=_attr_pair, required=True, metavar="A1,A2")
     p.add_argument("--min-support", type=_positive_int, required=True)
     p.add_argument("--sample", type=_positive_int, default=5)
     p.add_argument("--pages", type=_positive_int, default=5)
@@ -264,13 +269,10 @@ def _cmd_impute(args) -> int:
 def _cmd_mine_patterns(args) -> int:
     table = load_table(args.table)
     provider = LocalCorpusProvider.from_jsonl(args.corpus)
-    a1, sep, a2 = args.pair.partition(",")
-    if not sep or not a1.strip() or not a2.strip():
-        raise _UsageError(f"--pair expects A1,A2, got {args.pair!r}")
     patterns = mine_patterns(
         provider,
         table,
-        (a1.strip(), a2.strip()),
+        args.pair,
         min_support=args.min_support,
         sample=args.sample,
         pages=args.pages,

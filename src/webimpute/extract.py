@@ -6,20 +6,20 @@ with the smallest average token distance to the keyword values.  The sink
 attribute name travels in the query but is excluded from distance anchoring;
 it tends to sit in boilerplate and would drag candidates toward it.
 
-Dictionary matching is longest-match over token sequences, compared in a
-normalized form with case, punctuation and spacing removed, so the document
-text "Wheaton, IL" matches the entry "WheatonIL".  Extraction always returns
-a dictionary entry verbatim, never raw document text.
+Documents arrive tokenized by their provider.  Dictionary matching is
+longest-match over their ``tokens``, compared in a normalized form with case,
+punctuation and spacing removed, so the page text "Wheaton, IL" matches the
+entry "WheatonIL".  Extraction always returns a dictionary entry verbatim.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from pathlib import Path
+from typing import Iterable
 
 from .providers import Document
-from .tabular import MISSING, Table, read_text
+from .tabular import MISSING, Table
 from .textutil import find_token_seq, normalize, tokenize
 
 log = logging.getLogger(__name__)
@@ -43,7 +43,7 @@ class Dictionary:
             self, "_max_len", max((len(k) for k in normalized), default=0)
         )
 
-    def match_at(self, tokens: list[str], start: int) -> tuple[str, int] | None:
+    def match_at(self, tokens: tuple[str, ...], start: int) -> tuple[str, int] | None:
         """Longest entry whose token span begins at ``start``: (entry, span length)."""
         if start < 0 or start >= len(tokens):
             return None
@@ -58,7 +58,7 @@ class Dictionary:
                 best = (entry, end - start + 1)
         return best
 
-    def match_ending_at(self, tokens: list[str], end: int) -> tuple[str, int] | None:
+    def match_ending_at(self, tokens: tuple[str, ...], end: int) -> tuple[str, int] | None:
         """Longest entry whose token span ends just before index ``end``."""
         if end <= 0 or end > len(tokens):
             return None
@@ -73,7 +73,7 @@ class Dictionary:
                 best = (entry, end - start)
         return best
 
-    def occurrences(self, tokens: list[str]) -> list[tuple[int, str]]:
+    def occurrences(self, tokens: tuple[str, ...]) -> list[tuple[int, str]]:
         """(position, entry) for the longest match starting at each position."""
         hits = []
         for i in range(len(tokens)):
@@ -83,21 +83,18 @@ class Dictionary:
         return hits
 
 
-def build_dictionary(
-    table: Table, attr: str, extra: str | Path | None = None
-) -> Dictionary:
-    """Distinct present values of ``attr`` plus entries from an optional file.
+def build_dictionary(table: Table, attr: str, extra: Iterable[str] = ()) -> Dictionary:
+    """Distinct present values of ``attr`` plus the non-blank ``extra`` lines.
 
-    The supplementary file holds one value per line and stands in for
-    candidate values harvested outside the table.
+    The extra lines, one value each (the lines of a supplementary dictionary
+    file), stand in for candidate values harvested outside the table.
     """
     col = table.column_index(attr)
     values = {row[col] for row in table.rows if row[col] is not MISSING}
-    if extra is not None:
-        for line in read_text(extra).splitlines():
-            line = line.strip()
-            if line:
-                values.add(line)
+    for line in extra:
+        line = line.strip()
+        if line:
+            values.add(line)
     if not values:
         log.warning("dictionary for %r is empty", attr)
     return Dictionary(attr, tuple(sorted(values)))
@@ -140,15 +137,10 @@ def extract_by_keywords(
     anchors = [(kw, seq) for kw in keywords[:-1] if (seq := tokenize(kw))]
     best: tuple[float, int, int, str] | None = None
     for rank, doc in enumerate(documents):
-        tokens = tokenize(doc.text)
-        positions = {}
-        for anchor, seq in anchors:
-            hits = find_token_seq(tokens, seq)
-            if hits:
-                positions[anchor] = hits
-        if not positions:
+        positions = {anchor: find_token_seq(doc.tokens, seq) for anchor, seq in anchors}
+        if not any(positions.values()):
             continue
-        for pos, entry in dictionary.occurrences(tokens):
+        for pos, entry in dictionary.occurrences(doc.tokens):
             candidate = (avg_distance(pos, positions), rank, pos, entry)
             if best is None or candidate < best:
                 best = candidate

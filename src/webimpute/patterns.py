@@ -1,13 +1,13 @@
 """Two-slot text patterns mined from retrieval results over clean tuples.
 
-Query the provider with both values of a clean tuple, find the places where
-the two values co-occur within ``max_gap`` tokens, and count the contexts
-between them.  Contexts are counted anchored to the second attribute of the
-pair (the attribute whose values the pattern will later predict): every
-suffix of the intervening span when that value comes second in the text,
-every prefix when it comes first.  Counting sub-spans instead of whole spans
-lets a shared core like "the principal of" accumulate support across
-differently-phrased sentences.
+Query the provider with both values of a clean tuple, find the places in a
+result's ``tokens`` where the two values co-occur within ``max_gap`` tokens,
+and count the contexts between them.  Contexts are counted anchored to the
+second attribute of the pair (the attribute whose values the pattern will
+later predict): every suffix of the intervening span when that value comes
+second in the text, every prefix when it comes first.  Counting sub-spans
+instead of whole spans lets a shared core like "the principal of" accumulate
+support across differently-phrased sentences.
 
 Qualifying contexts (support >= the threshold) are reduced to the maximal
 ones: a context contained in a longer qualifying context with the same
@@ -99,17 +99,17 @@ def context_supports(
         if not seq1 or not seq2:
             continue  # a value with no tokens never co-occurs: spare the query
         for doc in provider.query(Query((v1, v2), pages)):
-            tokens = tokenize(doc.text)
+            tokens = doc.tokens
             for i in find_token_seq(tokens, seq1):
                 for j in find_token_seq(tokens, seq2):
                     if i + len(seq1) <= j:
                         span = tokens[i + len(seq1) : j]
                         direction = FORWARD  # context is anchored at attr2: suffixes
-                        anchored = [tuple(span[-n:]) for n in range(1, len(span) + 1)]
+                        anchored = [span[-n:] for n in range(1, len(span) + 1)]
                     elif j + len(seq2) <= i:
                         span = tokens[j + len(seq2) : i]
                         direction = REVERSE  # attr2 first: prefixes
-                        anchored = [tuple(span[:n]) for n in range(1, len(span) + 1)]
+                        anchored = [span[:n] for n in range(1, len(span) + 1)]
                     else:
                         continue  # overlapping occurrences
                     if not 1 <= len(span) <= max_gap:
@@ -170,7 +170,7 @@ def extract_by_pattern(
     the ``attr2`` dictionary.  The first successful dictionary match wins.
     """
     known_seq = tokenize(known_value)
-    ctx = list(pattern.context)
+    ctx = pattern.context
     length = len(ctx)
     if not known_seq or length > max_gap:
         return None
@@ -178,7 +178,7 @@ def extract_by_pattern(
 
     documents = provider.query(Query((known_value, " ".join(ctx)), pages))
     for doc in documents:
-        tokens = tokenize(doc.text)
+        tokens = doc.tokens
         for s in find_token_seq(tokens, known_seq):
             if pattern.direction == FORWARD:
                 # [KNOWN] .. [ctx][SINK]: context floats, sink right after it

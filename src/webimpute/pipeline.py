@@ -6,7 +6,7 @@ within a row: select the optimal keyword group (abstain if its weight is
 below the group threshold), try mined patterns for the group's (source, sink)
 attribute pairs, and fall back to keyword-group extraction when no pattern
 produces a value.  Rules and dictionaries may name only table columns, and
-dictionary files are read before the first query.  Phase 2 runs serially,
+every dictionary file is read before phase 1.  Phase 2 runs serially,
 one cell at a time; every cell is evaluated against the phase-1 snapshot and
 its fill is applied afterwards, so no phase-2 fill influences another cell.
 Provider failures mark the cell abstained and never abort a run.
@@ -40,7 +40,7 @@ from .patterns import (
 )
 from .providers import PAGE_SIZE, ProviderError, Query, SearchProvider
 from .rules import RuleSet
-from .tabular import Table, dump_json
+from .tabular import Table, dump_json, read_text
 
 log = logging.getLogger(__name__)
 
@@ -283,6 +283,7 @@ def impute(
     ]:
         if unknown := sorted(set(attrs) - set(table.columns)):
             raise ValueError(f"{named} attributes not in table: {', '.join(unknown)}")
+    extra_entries = {a: read_text(path).splitlines() for a, path in config.dictionaries.items()}
     t_start = time.perf_counter()
     initial_missing = list(table.missing_cells())
     provider = _RetryingProvider(provider, config.query_retries)
@@ -317,9 +318,8 @@ def impute(
         else:
             plans[(row, attr)] = (best, alternatives)
 
-    # Before any query, so that a bad dictionary file costs none.
     dictionaries = {
-        attr: build_dictionary(internal_table, attr, config.dictionaries.get(attr))
+        attr: build_dictionary(internal_table, attr, extra_entries.get(attr, ()))
         for attr in dict.fromkeys(attr for _, attr in plans)
     }
 

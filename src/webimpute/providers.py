@@ -1,9 +1,9 @@
 """Retrieval interface: keywords and a page budget in, ranked documents out.
 
-A result is a list of ``Document(id, text)``, best first: list order is the
-only statement of rank, and no provider returns a score.  Two providers
-share this contract.  :class:`LocalCorpusProvider` serves a
-JSON-Lines corpus deterministically and is what tests and experiments run
+A result is a list of ``Document(id, tokens)``, best first: list order is
+the only statement of rank, and no provider returns a score; the provider
+is the only code that tokenizes a page.  :class:`LocalCorpusProvider` serves
+a JSON-Lines corpus deterministically and is what tests and experiments run
 against; :class:`HttpProvider` is a thin live HTTP client (one GET per page,
 tags stripped, no engine-specific parsing) whose failures surface as
 :class:`ProviderError` so a pipeline can record the cell as unfilled instead
@@ -52,7 +52,7 @@ class Query:
 @dataclass(frozen=True)
 class Document:
     id: str
-    text: str
+    tokens: tuple[str, ...]
 
 
 class SearchProvider(Protocol):  # pragma: no cover - structural type only
@@ -83,13 +83,13 @@ class LocalCorpusProvider:
     ties break on ``(id, text)``.  Results are a pure function of
     (corpus, query), and growing the page budget only extends the list.
 
-    The first query sorts the documents into ``(id, text)`` order, so a
-    document's index is its tie-break, and builds a token -> index inverted
-    index (once, under a lock, since callers may share one provider across
-    threads).  A keyword's matching documents are then its token's posting
-    list, or, for a multi-token keyword, the documents on its rarest token's
-    posting list that contain the whole sequence; each keyword's match set is
-    memoised.
+    The first query tokenizes each page into one ``Document`` in ``(id, text)``
+    order, so a document's index is its tie-break, and builds a token -> index
+    inverted index (once, under a lock, since callers may share one provider
+    across threads); queries return these same objects.  A keyword's matching
+    documents are then its token's posting list, or, for a multi-token
+    keyword, the documents on its rarest token's posting list that contain
+    the whole sequence; each keyword's match set is memoised.
     """
 
     def __init__(self, docs: Iterable[tuple[str, str]], page_size: int = PAGE_SIZE):
@@ -98,7 +98,7 @@ class LocalCorpusProvider:
         self.docs = list(docs)
         self.page_size = page_size
         self._lock = threading.Lock()
-        self._tokens: list[list[str]] | None = None
+        self._documents: list[Document] | None = None
         self._postings: dict[str, list[int]] = {}
         self._matches: dict[tuple[str, ...], list[int]] = {}
 
@@ -106,19 +106,18 @@ class LocalCorpusProvider:
     def from_jsonl(cls, path: str | Path, page_size: int = PAGE_SIZE) -> "LocalCorpusProvider":
         return cls(load_corpus(path), page_size=page_size)
 
-    def _index(self) -> list[list[str]]:
-        """Per-document tokens; sorts the documents and indexes them on first use."""
+    def _index(self) -> list[Document]:
+        """The documents in ``(id, text)`` order, tokenized and indexed on first use."""
         with self._lock:
-            if self._tokens is None:
-                self.docs.sort()
-                tokens = [tokenize(text) for _, text in self.docs]
-                for i, doc_tokens in enumerate(tokens):
-                    for token in dict.fromkeys(doc_tokens):
+            if self._documents is None:
+                documents = [Document(id_, tokenize(text)) for id_, text in sorted(self.docs)]
+                for i, doc in enumerate(documents):
+                    for token in dict.fromkeys(doc.tokens):
                         self._postings.setdefault(token, []).append(i)
-                self._tokens = tokens
-            return self._tokens
+                self._documents = documents
+            return self._documents
 
-    def _match(self, needle: tuple[str, ...], tokens: list[list[str]]) -> list[int]:
+    def _match(self, needle: tuple[str, ...], docs: list[Document]) -> list[int]:
         """Indices of the documents containing the token sequence ``needle``."""
         found = self._matches.get(needle)
         if found is None:  # racing threads store equal lists, so no lock
@@ -126,18 +125,17 @@ class LocalCorpusProvider:
             if len(needle) == 1:
                 found = rarest
             else:
-                seq = list(needle)
-                found = [i for i in rarest if find_token_seq(tokens[i], seq)]
+                found = [i for i in rarest if find_token_seq(docs[i].tokens, needle)]
             self._matches[needle] = found
         return found
 
     def query(self, q: Query) -> list[Document]:
-        tokens = self._index()
-        needles = dict.fromkeys(tuple(tokenize(kw)) for kw in q.keywords)
+        docs = self._index()
+        needles = dict.fromkeys(tokenize(kw) for kw in q.keywords)
         needles.pop((), None)
-        scores = Counter(i for n in needles for i in self._match(n, tokens))
+        scores = Counter(i for n in needles for i in self._match(n, docs))
         ranked = sorted((-score, i) for i, score in scores.items())
-        return [Document(*self.docs[i]) for _, i in ranked[: q.pages * self.page_size]]
+        return [docs[i] for _, i in ranked[: q.pages * self.page_size]]
 
 
 _TAG_RE = re.compile(r"<[^>]*>")
@@ -151,7 +149,7 @@ class HttpProvider:
     """Generic live search over a URL template with a ``{query}`` placeholder.
 
     One request per page (an optional ``{page}`` placeholder receives the
-    1-based page number); each stripped response page becomes one document.
+    1-based page number); each tokenized response page becomes one document.
     Intentionally engine-agnostic: no result parsing beyond tag stripping.
     Consecutive requests, within a query or across queries, start at least
     ``delay_ms`` after the previous one finished.
@@ -199,5 +197,5 @@ class HttpProvider:
                     raise ProviderError(f"GET {url} failed: {exc}") from exc
                 finally:
                     self._last_request = time.monotonic()
-            out.append(Document(url, strip_tags(body)))
+            out.append(Document(url, tokenize(strip_tags(body))))
         return out

@@ -1,4 +1,4 @@
-"""Tokenization and token-sequence matching shared by the text subsystems."""
+"""Tokenization and token-sequence matching; every token sequence is a tuple."""
 
 from __future__ import annotations
 
@@ -7,9 +7,9 @@ import re
 _TOKEN_RE = re.compile(r"\w+", re.UNICODE)
 
 
-def tokenize(text: str) -> list[str]:
+def tokenize(text: str) -> tuple[str, ...]:
     """Case-folded word tokens: maximal runs of word characters."""
-    return [t.casefold() for t in _TOKEN_RE.findall(text)]
+    return tuple(map(str.casefold, _TOKEN_RE.findall(text)))
 
 
 def normalize(text: str) -> str:
@@ -21,7 +21,7 @@ def normalize(text: str) -> str:
     return "".join(tokenize(text))
 
 
-def find_token_seq(haystack: list[str], needle: list[str]) -> list[int]:
+def find_token_seq(haystack: tuple[str, ...], needle: tuple[str, ...]) -> list[int]:
     """Start indices of every occurrence of ``needle`` in ``haystack``."""
     n = len(needle)
     if n == 0 or n > len(haystack):

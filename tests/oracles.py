@@ -149,7 +149,9 @@ def scan_ranking_oracle(docs, q: Query) -> list[tuple[int, Document]]:
         if score > 0:
             scored.append((-score, doc_id, text))
     scored.sort()
-    return [(-negated, Document(doc_id, text)) for negated, doc_id, text in scored]
+    return [
+        (-negated, Document(doc_id, tokenize(text))) for negated, doc_id, text in scored
+    ]
 
 
 def scan_query_oracle(docs, q: Query, page_size: int) -> list[Document]:

@@ -612,6 +612,16 @@ def test_sweep_with_missing_dictionary_file_writes_no_csv(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_impute_with_unread_dictionary_file_is_data_error(tmp_path, capsys):
+    # no Coach cell reaches phase 2, yet the missing file stops the run
+    out = tmp_path / "out.csv"
+    argv = _impute_args(tmp_path, out=out)
+    code = run(*argv, "--dict", f"Coach={tmp_path / 'missing.dict'}")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "missing.dict" in err and not out.exists()
+
+
 def test_mine_patterns_command(tmp_path):
     out = tmp_path / "patterns.json"
     code = run(
@@ -631,6 +641,19 @@ def test_mine_patterns_command(tmp_path):
         "--corpus", str(DATA / "films_corpus.jsonl"),
         "--pair", "FilmDirector", "--min-support", "2", "--out", str(out),
     ) == 1
+
+
+def test_mine_patterns_bad_pair_is_usage_error(tmp_path, capsys):
+    # the table does not exist: the pair is checked before any file is read
+    out = tmp_path / "patterns.json"
+    code = run(
+        "mine-patterns", "--table", str(tmp_path / "missing.csv"),
+        "--corpus", str(DATA / "nba_corpus.jsonl"),
+        "--pair", "Arena", "--min-support", "2", "--out", str(out),
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "--pair" in err and not out.exists()
 
 
 @pytest.mark.parametrize(

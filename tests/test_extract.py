@@ -9,6 +9,7 @@ from webimpute import (
     extract_by_keywords,
 )
 from webimpute.tabular import MISSING
+from webimpute.textutil import tokenize
 
 SNIPPET = (
     "Get information about WheatonFieldHouse in Wheaton, IL, "
@@ -17,7 +18,7 @@ SNIPPET = (
 
 
 def doc(text, doc_id="d"):
-    return Document(doc_id, text)
+    return Document(doc_id, tokenize(text))
 
 
 class TestDictionary:
@@ -35,7 +36,7 @@ class TestDictionary:
     def test_extra_file_extends_entries(self, nba_table, tmp_path):
         extra = tmp_path / "loc.dict"
         extra.write_text("WheatonIL\n\nBostonMA\n", encoding="utf-8")
-        d = build_dictionary(nba_table, "Location", extra)
+        d = build_dictionary(nba_table, "Location", extra.read_text("utf-8").splitlines())
         assert "WheatonIL" in d.entries and "BostonMA" in d.entries
         assert "SanFrancsicoCA" in d.entries
 

@@ -291,6 +291,21 @@ def test_missing_dictionary_file_fails_before_any_query(
     assert provider.queries == []
 
 
+def test_dictionary_file_is_read_even_without_a_phase_two_cell(
+    nba_table, nba_ruleset, nba_provider, nba_config, tmp_path
+):
+    # Coach's one missing cell has no feasible keyword group, so no Coach
+    # dictionary is ever built; its file is still read before phase 1
+    provider = CountingProvider(nba_provider)
+    missing = tmp_path / "missing.dict"
+    config = replace(
+        nba_config, dictionaries={**nba_config.dictionaries, "Coach": str(missing)}
+    )
+    with pytest.raises(FileNotFoundError, match="missing.dict"):
+        impute(nba_table, nba_ruleset, config, provider)
+    assert provider.queries == []
+
+
 def test_phase_two_queries_cells_in_row_major_order():
     # Z comes before B in the table but after it by name; no row is complete,
     # so phase 1 fills nothing and no pattern is mined: every query is a cell's

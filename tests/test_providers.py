@@ -52,6 +52,14 @@ class TestLocalProvider:
         expected = [*range(20, 25), *range(15)]
         assert [d.id for d in result] == [f"d{i:02d}" for i in expected]
 
+    def test_queries_sharing_a_page_share_its_document(self):
+        # the index tokenizes each page once; a query builds no Document
+        provider = LocalCorpusProvider([("d2", "alpha"), ("d1", "alpha beta")])
+        first = provider.query(Query(("alpha",)))
+        second = provider.query(Query(("beta",)))
+        assert [d.id for d in first] == ["d1", "d2"] and second == first[:1]
+        assert second[0] is first[0]
+
     def test_prefix_property(self):
         docs = [(f"d{i:02d}", "alpha") for i in range(25)]
         provider = LocalCorpusProvider(docs)
@@ -185,7 +193,7 @@ class TestHttpProvider:
         )
         docs = provider.query(Query(("alpha",), pages=2))
         assert len(docs) == 2
-        assert "alpha beta" in docs[0].text and "<p>" not in docs[0].text
+        assert docs[0].tokens == docs[1].tokens == ("alpha", "beta")  # no html, body, p
         assert "p=1" in docs[0].id and "p=2" in docs[1].id
 
     def test_delay_applies_between_queries(self, http_server):
@@ -228,6 +236,6 @@ def test_strip_tags_unescapes_entities():
 
 
 def test_document_is_frozen():
-    doc = Document("d", "text")
+    doc = Document("d", ("text",))
     with pytest.raises(AttributeError):
-        doc.text = "other"
+        doc.tokens = ("other",)
