@@ -8,6 +8,13 @@ against; :class:`HttpProvider` is a thin live HTTP client (one GET per page,
 tags stripped, no engine-specific parsing) whose failures surface as
 :class:`ProviderError` so a pipeline can record the cell as unfilled instead
 of crashing.
+
+The local provider keeps the top ``k = pages * page_size`` documents without
+scoring every match (MaxScore-style pruning: Turtle and Flood, IP&M 1995).
+A page that matches two or more keywords lies on one of the shorter match
+lists, so those are scored exactly; the rest of the result is score-1 pages
+in index order, and the first ``n`` of them lie within the first ``k``
+entries of each list, which is all a query reads of its longest list.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,17 +44,25 @@ class ProviderError(RuntimeError):
     """Retryable retrieval failure (network, HTTP status, rate limit)."""
 
 
+def _check_count(name: str, value: object) -> None:
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Query:
     keywords: tuple[str, ...]
     pages: int = 1
 
     def __post_init__(self) -> None:
+        if isinstance(self.keywords, str):
+            raise ValueError(f"keywords must be a sequence of strings, got {self.keywords!r}")
         object.__setattr__(self, "keywords", tuple(self.keywords))
         if not self.keywords:
             raise ValueError("query needs at least one keyword")
-        if self.pages < 1:
-            raise ValueError(f"pages must be >= 1, got {self.pages}")
+        if any(type(kw) is not str for kw in self.keywords):
+            raise ValueError(f"keywords must be strings, got {self.keywords!r}")
+        _check_count("pages", self.pages)
 
 
 @dataclass(frozen=True)
@@ -89,12 +105,27 @@ class LocalCorpusProvider:
     across threads); queries return these same objects.  A keyword's matching
     documents are then its token's posting list, or, for a multi-token
     keyword, the documents on its rarest token's posting list that contain
-    the whole sequence; each keyword's match set is memoised.
+    the whole sequence; each keyword's match list is memoised, in index order.
+
+    A query computes exactly ``sorted((-score, index))[:k]``, ``k`` being
+    ``pages * page_size``, without counting every match:
+
+    1. Order the ``m`` keywords' match lists by length.
+    2. A page with score ``s >= 2`` is on at least two lists, so on at least
+       one of the ``m - 1`` shortest (pigeonhole).  Count the pages of those
+       lists, add one for each found in the longest list (by bisection), and
+       rank the pages scoring 2 or more by ``(-score, index)``: every such
+       page is among them, each with its exact score.
+    3. The other pages score 1 and are each on exactly one list; they fill
+       the remaining ``n = k - h`` slots in index order, ``h`` being the
+       number of pages ranked in step 2.  At most ``h`` entries of a list
+       score more than 1, so its first ``n`` score-1 pages lie within its
+       first ``n + h = k`` entries, and the first ``n`` score-1 pages
+       overall are among those prefixes: a query reads no more of a list.
     """
 
     def __init__(self, docs: Iterable[tuple[str, str]], page_size: int = PAGE_SIZE):
-        if page_size < 1:
-            raise ValueError(f"page_size must be >= 1, got {page_size}")
+        _check_count("page_size", page_size)
         self.docs = list(docs)
         self.page_size = page_size
         self._lock = threading.Lock()
@@ -133,9 +164,21 @@ class LocalCorpusProvider:
         docs = self._index()
         needles = dict.fromkeys(tokenize(kw) for kw in q.keywords)
         needles.pop((), None)
-        scores = Counter(i for n in needles for i in self._match(n, docs))
-        ranked = sorted((-score, i) for i, score in scores.items())
-        return [docs[i] for _, i in ranked[: q.pages * self.page_size]]
+        lists = sorted((self._match(n, docs) for n in needles), key=len)
+        if not lists:
+            return []
+        cut = q.pages * self.page_size
+        longest = lists[-1]
+        scores = Counter()  # exact for every page on a shorter list (step 2)
+        for found in lists[:-1]:
+            scores.update(found)
+        for i in scores:
+            j = bisect_left(longest, i)
+            scores[i] += j < len(longest) and longest[j] == i
+        ranked = [i for _, i in sorted((-s, i) for i, s in scores.items() if s > 1)]
+        # step 3: a page absent from ``scores`` is on the longest list only
+        ranked += sorted(i for found in lists for i in found[:cut] if scores.get(i, 1) == 1)
+        return [docs[i] for i in ranked[:cut]]
 
 
 _TAG_RE = re.compile(r"<[^>]*>")

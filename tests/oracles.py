@@ -199,6 +199,35 @@ def tied_corpus_case(rng: random.Random):
     return docs, Query(("alpha", "beta"), pages), page_size
 
 
+def frequent_corpus_case(rng: random.Random):
+    """A corpus where several keywords each match more pages than the page cut.
+
+    Every page holds ``the``; ``alpha``, ``beta`` and ``gamma`` each occur on
+    about seven pages in ten, and ``delta`` and ``eps`` on one in ten, so
+    several match lists are longer than ``pages * page_size`` while others
+    are shorter.  Queries mix these with multi-token keywords (``alpha
+    beta``, a sequence on fewer pages than either token), case variants,
+    repeats and tokens absent from the corpus; ids repeat.
+    """
+    page_size, pages = rng.randint(1, 4), rng.randint(1, 3)
+    cut = pages * page_size
+    docs = []
+    for _ in range(rng.randint(cut + 1, 4 * cut + 8)):
+        words = ["the"]
+        words += [w for w in ("alpha", "beta", "gamma") if rng.random() < 0.7]
+        words += [w for w in ("delta", "eps") if rng.random() < 0.1]
+        rng.shuffle(words)
+        docs.append((f"d{rng.randint(0, 5)}", " ".join(words)))
+    pool = [
+        "the", "alpha", "beta", "gamma", "delta", "eps",
+        "alpha beta", "The", "gamma the", "zeta", "beta zeta",
+    ]
+    keywords = rng.sample(pool, rng.randint(1, 6))
+    if rng.random() < 0.2:
+        keywords.append(keywords[0])
+    return docs, Query(tuple(keywords), pages), page_size
+
+
 def maximal_patterns_oracle(supports, attr_pair, min_support: int) -> list[Pattern]:
     """Maximal qualifying patterns by comparing every pair of contexts.
 

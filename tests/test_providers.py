@@ -7,6 +7,7 @@ import time
 import pytest
 
 from oracles import (
+    frequent_corpus_case,
     random_corpus_case,
     scan_query_oracle,
     scan_ranking_oracle,
@@ -14,14 +15,25 @@ from oracles import (
 )
 from webimpute import Document, HttpProvider, LocalCorpusProvider, ProviderError, Query
 from webimpute.providers import load_corpus, strip_tags
+from webimpute.textutil import tokenize
 
 
 class TestQuery:
     def test_validation(self):
         with pytest.raises(ValueError):
             Query((), pages=1)
-        with pytest.raises(ValueError):
-            Query(("x",), pages=0)
+        # 1.5 used to fail inside a query, True to read as 1
+        for pages in [0, 1.5, 2.0, True, "2", None]:
+            with pytest.raises(ValueError, match="pages must be an integer >= 1"):
+                Query(("x",), pages=pages)
+
+    def test_keywords_must_be_a_sequence_of_strings(self):
+        # a string used to become the keywords ('a', 'l', 'p', 'h', 'a')
+        with pytest.raises(ValueError, match="sequence of strings"):
+            Query("alpha")
+        for keywords in [(5,), ("x", None), (b"x",)]:
+            with pytest.raises(ValueError, match="keywords must be strings"):
+                Query(keywords)
 
 
 class TestLocalProvider:
@@ -97,8 +109,10 @@ class TestLocalProvider:
         assert provider.query(Query(("WHEATON",)))
 
     def test_page_size_must_be_positive(self):
-        with pytest.raises(ValueError, match="page_size"):
-            LocalCorpusProvider([("d", "alpha")], page_size=0)
+        # 2.5 used to fail at the first query with "slice indices must be integers"
+        for page_size in [0, 2.5, 2.0, True, "2"]:
+            with pytest.raises(ValueError, match="page_size must be an integer >= 1"):
+                LocalCorpusProvider([("d", "alpha")], page_size=page_size)
 
     def test_index_matches_scan_oracle(self):
         rng = random.Random(20261017)
@@ -122,10 +136,31 @@ class TestLocalProvider:
             assert provider.query(q) == [doc for _, doc in ranked[:cut]]
         assert straddling >= 100, straddling
 
+    def test_frequent_keywords_match_scan_oracle(self):
+        # several lists longer than the cut: a query reads only their heads
+        rng = random.Random(20261020)
+        long_lists = inside_level = 0
+        for _ in range(400):
+            docs, q, page_size = frequent_corpus_case(rng)
+            cut = q.pages * page_size
+            needles = {tokenize(kw) for kw in q.keywords} - {()}
+            lengths = [len(scan_ranking_oracle(docs, Query((" ".join(n),)))) for n in needles]
+            long_lists += sum(n > cut for n in lengths) >= 2
+            ranked = scan_ranking_oracle(docs, q)
+            inside_level += len(ranked) > cut and ranked[cut - 1][0] == ranked[cut][0]
+            provider = LocalCorpusProvider(docs, page_size=page_size)
+            assert provider.query(q) == [doc for _, doc in ranked[:cut]]
+        assert long_lists >= 100 and inside_level >= 100, (long_lists, inside_level)
+
     def test_concurrent_first_queries_match_serial(self):
-        docs = [(f"d{i:03d}", f"alpha beta w{i % 7} gamma {i}") for i in range(300)]
-        q = Query(("alpha beta", "w3", "gamma"), pages=2)
-        expected = LocalCorpusProvider(docs).query(q)
+        # r3 (12 pages) is rarer than the 20-page cut, gamma is on every page
+        docs = [(f"d{i:03d}", f"alpha beta w{i % 7} r{i % 25} gamma {i}") for i in range(300)]
+        queries = [
+            Query(("alpha beta", "w3", "gamma"), pages=2),
+            Query(("gamma", "r3"), pages=2),
+        ]
+        serial = LocalCorpusProvider(docs)
+        expected = {q: serial.query(q) for q in queries}
         old_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -136,7 +171,8 @@ class TestLocalProvider:
 
                 def first_query(slot):
                     barrier.wait(timeout=10)
-                    results[slot] = provider.query(q)
+                    order = queries if slot % 2 else queries[::-1]
+                    results[slot] = {q: provider.query(q) for q in order}
 
                 threads = [
                     threading.Thread(target=first_query, args=(i,)) for i in range(4)
