@@ -33,7 +33,7 @@ from functools import cached_property
 
 from .depgraph import DependencyGraph, RuleApplication
 from .rules import conditions_hold
-from .tabular import MISSING, Table
+from .tabular import MISSING, Table, check_count, check_ratio
 
 ABSTAIN = None
 """Decision marker: no candidate reached the threshold."""
@@ -191,8 +191,8 @@ def impute_internal(
     fill decision recorded when it happened, or the final abstain decision
     (with candidate scores) from the last sweep.
     """
-    if not 0.0 <= k <= 1.0:
-        raise ValueError(f"threshold must be in [0,1], got {k}")
+    check_ratio("k", k)
+    check_count("max_rounds", max_rounds)
     current = table
     remaining = list(table.missing_cells())
     fill_decisions: list[BayesDecision] = []

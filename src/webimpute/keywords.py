@@ -37,7 +37,7 @@ from operator import attrgetter
 
 from .bayes import ABSTAIN
 from .depgraph import DependencyGraph, RuleApplication
-from .tabular import MISSING, Table
+from .tabular import MISSING, Table, check_count, check_ratio
 
 
 @dataclass(frozen=True)
@@ -118,8 +118,7 @@ def enumerate_single_sink_graphs(
     """
     if table.cell(row, sink) is not MISSING:
         raise ValueError(f"cell (row {row}, {sink}) is not missing")
-    if limit < 1:
-        raise ValueError(f"limit must be at least 1, got {limit}")
+    check_count("limit", limit)
 
     options: dict[str, list[_Option]] = {}
 
@@ -289,8 +288,7 @@ def select_optimal(graphs: list[SinkGraph], K: float) -> SinkGraph | None:
     ``enumerate_single_sink_graphs`` returns them.  Abstains when the list is
     empty or the first graph's weight falls below ``K``.
     """
-    if not 0.0 <= K <= 1.0:
-        raise ValueError(f"group threshold must be in [0,1], got {K}")
+    check_ratio("K", K)
     if not graphs or graphs[0].weight < K:
         return ABSTAIN
     return graphs[0]

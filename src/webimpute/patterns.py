@@ -17,8 +17,7 @@ context counts every shorter context with the same anchoring.  So a
 qualifying context lies in a longer qualifying one exactly when its one-token
 extension away from the anchor qualifies, and the maximal contexts are the
 qualifying ones no qualifying context extends by one token.  The threshold,
-the number of sampled tuples, the pages per query and ``max_gap`` must each
-be at least 1.
+sample size, pages per query and ``max_gap`` are each an integer >= 1.
 
 Extraction runs the mirror image and predicts only the second attribute:
 given the first attribute's known value, find it in a document, find the
@@ -35,7 +34,7 @@ from typing import Sequence
 
 from .extract import Dictionary
 from .providers import Query, SearchProvider
-from .tabular import MISSING, Table, dump_json, read_json_list
+from .tabular import MISSING, Table, check_count, dump_json, read_json_list
 from .textutil import find_token_seq, tokenize
 
 MAX_GAP = 8
@@ -62,8 +61,9 @@ class Pattern:
             raise ValueError("pattern context must be non-empty")
         if self.direction not in (FORWARD, REVERSE):
             raise ValueError(f"bad direction {self.direction!r}")
-        if type(self.support) is not int or {type(self.attr1), type(self.attr2)} != {str}:
-            raise TypeError(f"support must be an integer and attr1, attr2 strings: {self}")
+        check_count("support", self.support)
+        if {type(self.attr1), type(self.attr2)} != {str}:
+            raise TypeError(f"attr1 and attr2 must be strings: {self}")
 
     def to_dict(self) -> dict:
         return {
@@ -135,8 +135,7 @@ def mine_patterns(
     """
     counts = dict(min_support=min_support, sample=sample, pages=pages, max_gap=max_gap)
     for name, value in counts.items():
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+        check_count(name, value)
     supports = context_supports(provider, table, attr_pair, sample, pages, max_gap)
     qualifying = [key for key, count in supports.items() if count >= min_support]
     # a qualifying context covers the one it extends by one token
@@ -169,6 +168,7 @@ def extract_by_pattern(
     in the right place, and reads the adjacent span through ``dictionary``,
     the ``attr2`` dictionary.  The first successful dictionary match wins.
     """
+    check_count("max_gap", max_gap)
     known_seq = tokenize(known_value)
     ctx = pattern.context
     length = len(ctx)

@@ -40,7 +40,7 @@ from .patterns import (
 )
 from .providers import PAGE_SIZE, ProviderError, Query, SearchProvider
 from .rules import RuleSet
-from .tabular import Table, dump_json, read_text
+from .tabular import Table, check_count, check_ratio, dump_json, read_text
 
 log = logging.getLogger(__name__)
 
@@ -79,15 +79,11 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         for name in ("bayes_threshold", "group_threshold"):
-            value = getattr(self, name)
-            if type(value) not in (int, float) or not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be a number in [0,1], got {value!r}")
+            check_ratio(name, getattr(self, name))
         for name, least in _COUNT_FIELDS.items():
             value = getattr(self, name)
-            if name == "pattern_support" and value is None:
-                continue
-            if type(value) is not int or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            if name != "pattern_support" or value is not None:
+                check_count(name, value, least)
         if self.provider is not None and not isinstance(self.provider, dict):
             raise ValueError("provider must be a mapping of provider settings")
         if not isinstance(self.dictionaries, dict) or not all(

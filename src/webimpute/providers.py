@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Protocol
 
-from .tabular import read_text
+from .tabular import check_count, read_text
 from .textutil import find_token_seq, tokenize
 
 PAGE_SIZE = 10
@@ -42,11 +42,6 @@ PAGE_SIZE = 10
 
 class ProviderError(RuntimeError):
     """Retryable retrieval failure (network, HTTP status, rate limit)."""
-
-
-def _check_count(name: str, value: object) -> None:
-    if type(value) is not int or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -62,7 +57,7 @@ class Query:
             raise ValueError("query needs at least one keyword")
         if any(type(kw) is not str for kw in self.keywords):
             raise ValueError(f"keywords must be strings, got {self.keywords!r}")
-        _check_count("pages", self.pages)
+        check_count("pages", self.pages)
 
 
 @dataclass(frozen=True)
@@ -77,7 +72,7 @@ class SearchProvider(Protocol):  # pragma: no cover - structural type only
 
 
 def load_corpus(path: str | Path) -> list[tuple[str, str]]:
-    """Read a JSON-Lines corpus: one {"id": ..., "text": ...} object per line."""
+    """Read a JSON-Lines corpus: one {"id": str or int, "text": str} object per line."""
     docs = []
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
@@ -85,7 +80,9 @@ def load_corpus(path: str | Path) -> list[tuple[str, str]]:
             continue
         try:
             obj = json.loads(line)
-            docs.append((str(obj["id"]), str(obj["text"])))
+            if type(obj["id"]) not in (str, int) or type(obj["text"]) is not str:
+                raise TypeError(f"id must be a string or integer, text a string: {obj!r}")
+            docs.append((str(obj["id"]), obj["text"]))
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ValueError(f"{path}: bad corpus line {lineno}: {exc}") from None
     return docs
@@ -125,7 +122,7 @@ class LocalCorpusProvider:
     """
 
     def __init__(self, docs: Iterable[tuple[str, str]], page_size: int = PAGE_SIZE):
-        _check_count("page_size", page_size)
+        check_count("page_size", page_size)
         self.docs = list(docs)
         self.page_size = page_size
         self._lock = threading.Lock()
@@ -207,10 +204,10 @@ class HttpProvider:
     ):
         if "{query}" not in url_template:
             raise ValueError("url_template must contain a {query} placeholder")
-        if delay_ms < 0:
-            raise ValueError(f"delay_ms must be >= 0, got {delay_ms}")
-        if timeout_ms <= 0:
-            raise ValueError(f"timeout_ms must be > 0, got {timeout_ms}")
+        check_count("delay_ms", delay_ms, least=0)
+        check_count("timeout_ms", timeout_ms)
+        if type(user_agent) is not str:
+            raise ValueError(f"user_agent must be a string, got {user_agent!r}")
         self.url_template = url_template
         self.delay_ms = delay_ms
         self.user_agent = user_agent

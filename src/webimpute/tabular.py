@@ -9,7 +9,8 @@ byte-exact.  Tables are treated as immutable after construction: all
 
 Every file the package reads goes through :func:`read_text`, so a file that
 is not UTF-8 is an error naming it; every JSON file it writes is laid out by
-:func:`dump_json`.
+:func:`dump_json`.  Every count an entry point takes is checked by :func:`check_count`
+(an ``int``, not a ``bool``) and every ratio by :func:`check_ratio` (in [0, 1]).
 """
 
 from __future__ import annotations
@@ -40,6 +41,16 @@ class TableError(ValueError):
 
 class MaskError(ValueError):
     """Requested mask cannot be produced without stripping a row bare."""
+
+
+def check_count(name: str, value: object, least: int = 1) -> None:
+    if type(value) is not int or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_ratio(name: str, value: object) -> None:
+    if type(value) not in (int, float) or not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be a number in [0,1], got {value!r}")
 
 
 @dataclass
@@ -108,8 +119,7 @@ class MaskSpec:
     protected_attrs: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.ratio <= 1.0:
-            raise ValueError(f"mask ratio must be in [0,1], got {self.ratio}")
+        check_ratio("ratio", self.ratio)
         object.__setattr__(self, "protected_attrs", frozenset(self.protected_attrs))
 
 
@@ -122,8 +132,9 @@ class MaskedCell:
     value: str
 
     def __post_init__(self) -> None:
-        if type(self.row) is not int or {type(self.attr), type(self.value)} != {str}:
-            raise TypeError(f"row must be an integer and attr, value strings: {self}")
+        check_count("row", self.row, least=0)
+        if {type(self.attr), type(self.value)} != {str}:
+            raise TypeError(f"attr and value must be strings: {self}")
 
 
 def load_table(path: str | Path) -> Table:

@@ -220,8 +220,12 @@ class TestImputeInternal:
         assert [d.to_dict() for d in a[1]] == [d.to_dict() for d in b[1]]
 
     def test_bad_threshold_rejected(self, nba_table, nba_ruleset, nba_graph):
-        with pytest.raises(ValueError):
-            impute_internal(nba_table, nba_graph, 1.5)
+        for k in (1.5, True):
+            with pytest.raises(ValueError, match="k must"):
+                impute_internal(nba_table, nba_graph, k)
+        for max_rounds in (0, True, 1.5):  # zero rounds leave no decision to report
+            with pytest.raises(ValueError, match="max_rounds"):
+                impute_internal(nba_table, nba_graph, 0.5, max_rounds=max_rounds)
 
     def test_underflowed_joint_abstains(self):
         # x1 is certain, but its joint 1000/1000 * (1/1000)^110 underflows to

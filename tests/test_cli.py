@@ -210,10 +210,15 @@ def test_bad_url_template_is_the_same_usage_error_as_flag_or_config(tmp_path, ca
         ({"kind": "http", "bogus": 1}, "bogus"),
         ({"kind": "http", "url_template": "http://127.0.0.1:9/?q={query}",
           "delay_ms": -1}, "delay_ms"),
+        ({"kind": "http", "url_template": "http://127.0.0.1:9/?q={query}",
+          "delay_ms": True}, "delay_ms"),
+        ({"kind": "http", "url_template": "http://127.0.0.1:9/?q={query}",
+          "user_agent": 5}, "user_agent"),
         ({"kind": "ftp"}, "ftp"),
     ],
     ids=["local-without-corpus", "local-corpus-not-a-path", "provider-not-a-mapping",
-         "http-unknown-key", "http-negative-delay", "unknown-kind"],
+         "http-unknown-key", "http-negative-delay", "http-bool-delay",
+         "http-number-user-agent", "unknown-kind"],
 )
 def test_bad_provider_config_is_usage_error(tmp_path, capsys, provider, key):
     config = tmp_path / "cfg.json"
@@ -303,10 +308,14 @@ def test_wrongly_typed_config_value_is_usage_error(tmp_path, capsys, settings, k
          '"direction": "forward", "support": 2.7}]', "entry 0"),
         ('[{"attr1": ["Arena"], "attr2": "Location", "context": ["in"], '
          '"direction": "forward", "support": 2}]', "entry 0"),
+        ('[{"attr1": "Arena", "attr2": "Location", "context": ["in"], '
+         '"direction": "forward", "support": 0}]', "entry 0"),
+        ('[{"attr1": "Arena", "attr2": "Location", "context": ["in"], '
+         '"direction": "forward", "support": -2}]', "entry 0"),
     ],
     ids=[
         "not-a-list", "entry-without-attr2", "empty-file", "string-context",
-        "bool-support", "float-support", "list-attr1",
+        "bool-support", "float-support", "list-attr1", "zero-support", "negative-support",
     ],
 )
 def test_malformed_pattern_cache_is_data_error(tmp_path, capsys, text, where):
@@ -343,8 +352,9 @@ def test_ground_truth_entry_without_row_is_data_error(tmp_path, capsys):
         {"row": True, "attr": "Team", "value": "x"},
         {"row": 1, "attr": "Team", "value": 5},
         {"row": 1, "attr": None, "value": "x"},
+        {"row": -1, "attr": "Team", "value": "x"},
     ],
-    ids=["float-row", "bool-row", "number-value", "null-attr"],
+    ids=["float-row", "bool-row", "number-value", "null-attr", "negative-row"],
 )
 def test_wrongly_typed_ground_truth_entry_is_data_error(tmp_path, capsys, entry):
     # a row of 2.7 used to score the cell in row 2; a numeric value got as far

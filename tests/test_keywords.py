@@ -116,8 +116,9 @@ class TestSelect:
         assert select_optimal(graphs, 0.5) is not None
 
     def test_bad_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            select_optimal([], 1.2)
+        for K in (1.2, True, "0.8"):
+            with pytest.raises(ValueError, match="K"):
+                select_optimal([], K)
 
 
 class TestRender:
@@ -306,8 +307,11 @@ def test_bound_uses_only_mandatory_attributes(monkeypatch):
 
 
 def test_limit_must_be_positive(nba_graph, nba_after_internal):
-    with pytest.raises(ValueError):
-        enumerate_single_sink_graphs(nba_graph, nba_after_internal, 4, "Location", limit=0)
+    for limit in (0, True, 2.5):
+        with pytest.raises(ValueError, match="limit"):
+            enumerate_single_sink_graphs(
+                nba_graph, nba_after_internal, 4, "Location", limit=limit
+            )
 
 
 def test_edge_weight_above_one_rejected():

@@ -126,13 +126,20 @@ class TestMine:
 
     @pytest.mark.parametrize(
         "name, value",
-        [("min_support", 0), ("sample", 0), ("sample", -3), ("pages", 0), ("max_gap", 0)],
+        [("min_support", 0), ("sample", 0), ("sample", -3), ("pages", 0), ("max_gap", 0)]
+        + [
+            (name, value)
+            for name in ("min_support", "sample", "pages", "max_gap")
+            for value in (True, 2.5)
+        ],
     )
     def test_min_support_validated(self, principal_fixture, name, value):
         table, provider = principal_fixture
+        provider = CountingProvider(provider)
         counts = {"min_support": 2, name: value}
         with pytest.raises(ValueError, match=name):
             mine_patterns(provider, table, ("principal", "university"), **counts)
+        assert provider.queries == []  # rejected before the first query
 
     def test_value_without_tokens_costs_no_query(self):
         table = make_table(["A", "B"], [["alpha", "--"], ["gamma", "delta"]])

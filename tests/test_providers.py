@@ -191,16 +191,25 @@ class TestCorpusFile:
     def test_load_and_query(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text(
-            '{"id": "a", "text": "one two"}\n\n{"id": "b", "text": "three"}\n',
+            '{"id": "a", "text": "one two"}\n\n{"id": "b", "text": "three"}\n'
+            '{"id": 7, "text": "four"}\n',
             encoding="utf-8",
         )
-        assert load_corpus(path) == [("a", "one two"), ("b", "three")]
+        assert load_corpus(path) == [("a", "one two"), ("b", "three"), ("7", "four")]
 
     def test_bad_line_reports_position(self, tmp_path):
+        # a page is its text as written: a null text must not become the page "None"
         path = tmp_path / "c.jsonl"
-        path.write_text('{"id": "a", "text": "x"}\n{"nope": 1}\n', encoding="utf-8")
-        with pytest.raises(ValueError, match="line 2"):
-            load_corpus(path)
+        bad_lines = [
+            '{"nope": 1}',
+            '{"id": "b", "text": null}',
+            '{"id": "b", "text": ["x"]}',
+            '{"id": null, "text": "x"}',
+        ]
+        for bad in bad_lines:
+            path.write_text(f'{{"id": "a", "text": "x"}}\n{bad}\n', encoding="utf-8")
+            with pytest.raises(ValueError, match="line 2"):
+                load_corpus(path)
 
 
 class TestHttpProvider:
@@ -217,11 +226,14 @@ class TestHttpProvider:
 
     def test_constructor_rejects_bad_delay_and_timeout(self):
         template = "http://127.0.0.1:9/?q={query}"
-        with pytest.raises(ValueError, match="delay_ms"):
-            HttpProvider(template, delay_ms=-1)
-        for timeout_ms in (0, -5):
+        for delay_ms in (-1, True, 2.5, "5"):
+            with pytest.raises(ValueError, match="delay_ms"):
+                HttpProvider(template, delay_ms=delay_ms)
+        for timeout_ms in (0, -5, True, 2.5, "5"):
             with pytest.raises(ValueError, match="timeout_ms"):
                 HttpProvider(template, timeout_ms=timeout_ms)
+        with pytest.raises(ValueError, match="user_agent"):
+            HttpProvider(template, user_agent=5)
 
     def test_pages_fetched_and_tags_stripped(self, http_server):
         provider = HttpProvider(

@@ -236,5 +236,6 @@ def test_ground_truth_json_round_trip(tmp_path):
 
 
 def test_bad_ratio_rejected():
-    with pytest.raises(ValueError):
-        MaskSpec(ratio=1.5, seed=0)
+    for ratio in (1.5, -0.1, True, "0.3"):
+        with pytest.raises(ValueError, match="ratio"):
+            MaskSpec(ratio=ratio, seed=0)
