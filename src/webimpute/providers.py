@@ -15,6 +15,8 @@ A page that matches two or more keywords lies on one of the shorter match
 lists, so those are scored exactly; the rest of the result is score-1 pages
 in index order, and the first ``n`` of them lie within the first ``k``
 entries of each list, which is all a query reads of its longest list.
+A local result is a pure function of (corpus, query), so it is memoised per
+``Query``; an HTTP result is not, as a live page can change.
 """
 
 from __future__ import annotations
@@ -119,6 +121,11 @@ class LocalCorpusProvider:
        score more than 1, so its first ``n`` score-1 pages lie within its
        first ``n + h = k`` entries, and the first ``n`` score-1 pages
        overall are among those prefixes: a query reads no more of a list.
+
+    Each distinct ``Query`` is ranked once: its list of at most ``pages *
+    page_size`` indexed ``Document``s is kept for the provider's lifetime, and
+    a repeat returns a copy of it.  ``HttpProvider`` keeps no such memo: a
+    live page can change, and every request is a web access the method counts.
     """
 
     def __init__(self, docs: Iterable[tuple[str, str]], page_size: int = PAGE_SIZE):
@@ -129,6 +136,7 @@ class LocalCorpusProvider:
         self._documents: list[Document] | None = None
         self._postings: dict[str, list[int]] = {}
         self._matches: dict[tuple[str, ...], list[int]] = {}
+        self._results: dict[Query, list[Document]] = {}
 
     @classmethod
     def from_jsonl(cls, path: str | Path, page_size: int = PAGE_SIZE) -> "LocalCorpusProvider":
@@ -158,6 +166,12 @@ class LocalCorpusProvider:
         return found
 
     def query(self, q: Query) -> list[Document]:
+        found = self._results.get(q)
+        if found is None:  # racing threads store equal lists, so no lock
+            found = self._results[q] = self._rank(q)
+        return list(found)
+
+    def _rank(self, q: Query) -> list[Document]:
         docs = self._index()
         needles = dict.fromkeys(tokenize(kw) for kw in q.keywords)
         needles.pop((), None)

@@ -18,7 +18,7 @@ import json
 import random
 from pathlib import Path
 
-from .tabular import Table, write_table
+from .tabular import Table, check_count, write_table
 
 _PLACES = [
     "Ashford", "Brookfield", "Carlton", "Daleview", "Eastmere", "Fairhaven",
@@ -50,6 +50,7 @@ def make_university_dataset(
     rows: int = 100, seed: int = 7
 ) -> tuple[Table, list[tuple[str, str]], dict[str, list[str]]]:
     """Returns (table, corpus docs, per-attribute dictionary values)."""
+    check_count("rows", rows)
     rng = random.Random(seed)
     columns = ["University", "City", "Address", "Principal"]
     records: list[list[str]] = []
@@ -86,9 +87,9 @@ def write_university_fixture(
     out_dir: str | Path, rows: int = 100, seed: int = 7
 ) -> dict[str, Path]:
     """Write table, rules, corpus and dictionary files; returns the paths."""
+    table, corpus, dictionaries = make_university_dataset(rows, seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    table, corpus, dictionaries = make_university_dataset(rows, seed)
 
     paths = {
         "table": out / "university.csv",
@@ -113,6 +114,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--rows", type=int, default=100)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
+    try:
+        check_count("rows", args.rows)
+    except ValueError as exc:
+        parser.error(str(exc))
     paths = write_university_fixture(args.out, args.rows, args.seed)
     for name, path in sorted(paths.items()):
         print(f"{name}: {path}")

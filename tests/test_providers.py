@@ -152,6 +152,47 @@ class TestLocalProvider:
             assert provider.query(q) == [doc for _, doc in ranked[:cut]]
         assert long_lists >= 100 and inside_level >= 100, (long_lists, inside_level)
 
+    def test_repeated_queries_match_scan_oracle(self):
+        # the memo is keyed by the whole Query: the same keywords at another
+        # page budget are another question with a longer or shorter answer
+        rng = random.Random(20261021)
+        budgets_differ = 0
+        for case in [frequent_corpus_case] * 150 + [tied_corpus_case] * 150:
+            docs, q, page_size = case(rng)
+            other = Query(q.keywords, q.pages % 3 + 1)
+            provider = LocalCorpusProvider(docs, page_size=page_size)
+            order = [q, other] if rng.random() < 0.5 else [other, q]
+            answers = [provider.query(query) for query in order * 2]
+            for query, answer in zip(order * 2, answers):
+                assert answer == scan_query_oracle(docs, query, page_size)
+            budgets_differ += answers[0] != answers[1]
+        assert budgets_differ >= 150, budgets_differ
+
+    def test_repeat_does_no_ranking_work(self, monkeypatch):
+        docs = [(f"d{i}", f"alpha beta w{i % 3}") for i in range(30)]
+        provider = LocalCorpusProvider(docs)
+        queries = [Query(("alpha", "w1")), Query(("alpha", "w1"), pages=2), Query(("beta",))]
+        warm = [provider.query(q) for q in queries]
+
+        def boom(*args):
+            raise AssertionError("a repeated query ranked again")
+
+        monkeypatch.setattr(provider, "_match", boom)
+        monkeypatch.setattr("webimpute.providers.tokenize", boom)
+        assert [provider.query(Query(list(q.keywords), q.pages)) for q in queries] == warm
+        with pytest.raises(AssertionError, match="ranked again"):
+            provider.query(Query(("alpha", "w2")))
+
+    def test_mutating_an_answer_leaves_the_next_unchanged(self):
+        provider = LocalCorpusProvider([("d1", "alpha beta"), ("d2", "alpha")])
+        q = Query(("alpha", "beta"))
+        first = provider.query(q)
+        expected = list(first)
+        first.reverse()
+        first.append(Document("x", ("x",)))
+        assert provider.query(q) == expected
+        assert provider.query(q) is not provider.query(q)
+
     def test_concurrent_first_queries_match_serial(self):
         # r3 (12 pages) is rarer than the 20-page cut, gamma is on every page
         docs = [(f"d{i:03d}", f"alpha beta w{i % 7} r{i % 25} gamma {i}") for i in range(300)]
@@ -168,11 +209,14 @@ class TestLocalProvider:
                 provider = LocalCorpusProvider(docs)
                 barrier = threading.Barrier(4)
                 results = [None] * 4
+                repeats = [None] * 4
 
                 def first_query(slot):
                     barrier.wait(timeout=10)
                     order = queries if slot % 2 else queries[::-1]
                     results[slot] = {q: provider.query(q) for q in order}
+                    # the result memo's store races too
+                    repeats[slot] = {q: provider.query(q) for q in order}
 
                 threads = [
                     threading.Thread(target=first_query, args=(i,)) for i in range(4)
@@ -183,6 +227,7 @@ class TestLocalProvider:
                     t.join(timeout=30)
                     assert not t.is_alive()
                 assert results == [expected] * 4
+                assert repeats == [expected] * 4
         finally:
             sys.setswitchinterval(old_interval)
 
