@@ -18,9 +18,13 @@ reaches the threshold; otherwise the cell abstains and is left for web-based
 imputation.
 
 Every candidate is reported, most of them with a zero joint.  Those zero
-scores are built once per count table and round (``zero_scores``); a
-decision copies that template and writes in only its nonzero joints, so it
-costs one new :class:`CandidateScore` per nonzero joint, not per candidate.
+scores are built once per count table and round (``zero_scores``).  The
+nonzero scores and the chosen value depend only on the count table and the
+evidence values, so they are scored once per distinct evidence and round, one
+new :class:`CandidateScore` per nonzero joint, and shared by every decision
+with that evidence.  Evidence repeats exactly where phase 1 can fill: an FD
+fills a cell only from tuples that share its LHS values.  A decision copies
+the zero template into its own list and writes in the shared nonzero scores.
 
 The table is swept repeatedly (a fill can unlock evidence for another cell)
 until a sweep fills nothing or ``max_rounds`` is hit.
@@ -32,7 +36,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .depgraph import DependencyGraph, RuleApplication
-from .rules import conditions_hold
 from .tabular import MISSING, Table, check_count, check_ratio
 
 ABSTAIN = None
@@ -55,8 +58,9 @@ class BayesDecision:
     (``rule_id`` None, empty candidates).
 
     ``candidates`` holds one score per candidate in sorted order.  The list is
-    the decision's own, but its zero-joint entries are frozen objects shared
-    by every decision of the round drawn from the same count table.
+    the decision's own, but its entries are frozen objects: the zero-joint
+    ones shared by every decision of the round drawn from the same count
+    table, the nonzero ones by every such decision with the same evidence.
     """
 
     row: int
@@ -99,13 +103,16 @@ class _FrequencyCounts:
     ) -> "_FrequencyCounts":
         col = table.column_index(attr)
         evidence_cols = [(a, table.column_index(a)) for a in evidence_attrs]
+        condition_cols = [(table.column_index(a), lit) for a, lit in condition]
         present: set[str] = set()
         target: dict[str, int] = {}
         pair: dict[tuple[str, str], dict[str, int]] = {}
         total = 0
-        for r, row in enumerate(table.rows):
+        for row in table.rows:
             d = row[col]
-            if d is MISSING or not conditions_hold(table, r, condition):
+            if d is MISSING:
+                continue
+            if condition_cols and not all(row[c] == lit for c, lit in condition_cols):
                 continue
             present.add(d)
             keys = [(a, row[c]) for a, c in evidence_cols]
@@ -128,7 +135,7 @@ class _FrequencyCounts:
         """Candidate -> index in :attr:`candidates`."""
         return {d: i for i, d in enumerate(self.candidates)}
 
-    def joints(self, evidence: list[tuple[str, str]]) -> dict[str, float]:
+    def joints(self, evidence: tuple[tuple[str, str], ...]) -> dict[str, float]:
         """The nonzero joints P(d) * prod P(v | d), by candidate.
 
         A candidate that never co-occurs with one of the evidence values
@@ -156,27 +163,38 @@ def _decide_cell(
     cache: dict,
 ) -> BayesDecision:
     # The cache lives for one round, during which the table does not change.
+    # It holds a count table per setting and a scoring per (setting, evidence).
     key = (app.conditions, attr, app.determinants)
     counts = cache.get(key)
     if counts is None:
         counts = _FrequencyCounts.build(table, attr, app.determinants, app.conditions)
         cache[key] = counts
-    evidence = [(a, table.cell(row, a)) for a in app.determinants]
+    evidence = tuple((a, table.cell(row, a)) for a in app.determinants)
+    scoring = cache.get((key, evidence))
+    if scoring is None:
+        scoring = _score(counts, evidence, k)
+        cache[(key, evidence)] = scoring
+    scored, chosen = scoring
+    candidates = list(counts.zero_scores)
+    for score in scored:
+        candidates[counts.position[score.value]] = score
+    return BayesDecision(row, attr, app.rule_id, candidates, chosen, k)
+
+
+def _score(
+    counts: _FrequencyCounts, evidence: tuple[tuple[str, str], ...], k: float
+) -> tuple[tuple[CandidateScore, ...], str | None]:
+    """The nonzero scores, in candidate order, and the chosen value or None."""
     nonzero = sorted(counts.joints(evidence).items())
     # summed in candidate order; the zeros left out add nothing, exactly
     total = sum(j for _, j in nonzero)
-    candidates = list(counts.zero_scores)
-    chosen = None
-    if total > 0:  # a joint can underflow to 0.0, so a nonempty map can sum to 0
-        scored = [CandidateScore(d, j, j / total) for d, j in nonzero]
-        for score in scored:
-            candidates[counts.position[score.value]] = score
-        # scored is in candidate order, so equal posteriors break on the lowest
-        # value, and the best posterior is positive, above every zero's
-        best = max(scored, key=lambda c: c.posterior)
-        if best.posterior >= k:
-            chosen = best.value
-    return BayesDecision(row, attr, app.rule_id, candidates, chosen, k)
+    if total <= 0:  # a joint can underflow to 0.0, so a nonempty map can sum to 0
+        return (), ABSTAIN
+    scored = tuple(CandidateScore(d, j, j / total) for d, j in nonzero)
+    # scored is in candidate order, so equal posteriors break on the lowest
+    # value, and the best posterior is positive, above every zero's
+    best = max(scored, key=lambda c: c.posterior)
+    return scored, best.value if best.posterior >= k else ABSTAIN
 
 
 def impute_internal(

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 usage or configuration error (a ``mine-patterns``
 count below 1 or a mask ratio outside [0, 1] too), 2 data error.  Partial web
-failures are recorded in the report and do not affect the exit code.
+failures are recorded in the report and do not affect the exit code.  An
+output path that names a directory or lies in a missing directory is a data
+error raised before any input is read, so such a run makes no query.
 ``--config file.json`` supplies run settings (field names mirror RunConfig);
 explicit flags win over the file.  ``--log-level`` (before the subcommand)
 sets what the ``webimpute`` loggers print to stderr.
@@ -11,8 +13,10 @@ sets what the ``webimpute`` loggers print to stderr.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import logging
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -211,6 +215,23 @@ def _load_config(args) -> RunConfig:
         raise _UsageError(f"bad configuration: {exc}") from None
 
 
+def _check_outputs(*paths: str | None) -> None:
+    """Fail as writing would, before any input is read or any query is made.
+
+    A path that names a directory, or whose parent directory does not exist,
+    raises the :class:`OSError` its write would have raised after the run.
+    """
+    for path in filter(None, paths):
+        parent = Path(path).parent  # Path("o.csv").parent is Path(".")
+        if Path(path).is_dir():
+            code = errno.EISDIR
+        elif not parent.is_dir():
+            code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+        else:
+            continue
+        raise OSError(code, os.strerror(code), path)
+
+
 _PROVIDER_KEYS = {  # kind -> (required, optional) keys of a --config provider
     "local": ({"corpus"}, set()),
     "http": ({"url_template"}, {"delay_ms", "user_agent", "timeout_ms"}),
@@ -251,6 +272,7 @@ def _build_provider(args, config: RunConfig):
 
 def _cmd_impute(args) -> int:
     config = _load_config(args)
+    _check_outputs(args.out, args.report, config.pattern_cache)
     provider = _build_provider(args, config)
     table = load_table(args.table)
     ruleset = RuleSet.estimate(parse_rules_file(args.rules), table)
@@ -267,6 +289,7 @@ def _cmd_impute(args) -> int:
 
 
 def _cmd_mine_patterns(args) -> int:
+    _check_outputs(args.out)
     table = load_table(args.table)
     provider = LocalCorpusProvider.from_jsonl(args.corpus)
     patterns = mine_patterns(
@@ -283,6 +306,7 @@ def _cmd_mine_patterns(args) -> int:
 
 
 def _cmd_mask(args) -> int:
+    _check_outputs(args.out, args.truth)
     table = load_table(args.table)
     rules = parse_rules_file(args.rules) if args.rules else None
     spec = MaskSpec(ratio=args.ratio, seed=args.seed, protected_attrs=frozenset(args.protect))
@@ -308,6 +332,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args)
+    _check_outputs(args.out, args.report, config.pattern_cache)
     provider = _build_provider(args, config)
     table = load_table(args.table)
     ruleset = RuleSet.estimate(parse_rules_file(args.rules), table)

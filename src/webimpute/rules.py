@@ -220,17 +220,20 @@ def estimate_confidence(rule: Rule, table: Table) -> dict[str, float]:
             result[attr] = rule.declared_confidence
             continue
         needed = list(dict.fromkeys(rule.condition_attrs + rule.lhs + (attr,)))
+        needed_cols = [table.column_index(a) for a in needed]
+        condition_cols = [(table.column_index(a), lit) for a, lit in rule.condition]
+        lhs_cols = [table.column_index(a) for a in rule.lhs]
+        col = table.column_index(attr)
         groups: dict[tuple, dict[str, int]] = {}
         total = 0
-        for r in range(len(table.rows)):
-            if any(table.cell(r, a) is MISSING for a in needed):
+        for row in table.rows:
+            if any(row[c] is MISSING for c in needed_cols):
                 continue
-            if not conditions_hold(table, r, rule.condition):
+            if condition_cols and not all(row[c] == lit for c, lit in condition_cols):
                 continue
             total += 1
-            key = tuple(table.cell(r, a) for a in rule.lhs)
-            counts = groups.setdefault(key, {})
-            value = table.cell(r, attr)
+            counts = groups.setdefault(tuple(row[c] for c in lhs_cols), {})
+            value = row[col]
             counts[value] = counts.get(value, 0) + 1
         if total == 0:
             log.warning(

@@ -235,6 +235,10 @@ def mask_random(
 ) -> tuple[Table, list[MaskedCell]]:
     """Mask ``floor(ratio * maskable_cells)`` cells at seeded-random positions.
 
+    The product is rounded to 9 decimals before the floor, so a ratio in
+    hundredths masks exactly ``ratio * 100 * maskable_cells // 100`` cells:
+    0.41 of 300 is 123, although ``0.41 * 300`` is 122.99999999999999.
+
     Protected attributes are untouched.  Every row keeps at least one
     unmasked non-protected cell, so a masked cell always has neighbouring
     evidence left in its tuple; when ``rules`` are given, the stronger check
@@ -254,7 +258,7 @@ def mask_random(
             raise TableError(
                 f"cannot mask: cell (row {r}, {c}) is already missing"
             )
-    count = math.floor(spec.ratio * len(positions))
+    count = math.floor(round(spec.ratio * len(positions), 9))
     rng = random.Random(spec.seed)
     shuffled = list(positions)
     rng.shuffle(shuffled)

@@ -7,7 +7,7 @@ subgraph list comes from listing every feasible subgraph, and retrieval
 scans every document for every keyword, and maximal patterns come from
 comparing every pair of qualifying contexts.  They exist so the real
 implementations can be checked against something that cannot share their
-bugs.  The rule-DSL oracle is the earlier character-loop parser, kept as it
+bugs.  Rule confidence is the plurality ratio counted group by group.  The rule-DSL oracle is the earlier character-loop parser, kept as it
 was (quote state toggled per character in three separate scans).
 """
 
@@ -128,6 +128,36 @@ def internal_fills_oracle(table: Table, ruleset: RuleSet, k: float, max_rounds: 
             table = table.with_cell(row, attr, value)
         filled.update(fills)
     return filled
+
+
+def confidence_oracle(rule: Rule, table: Table) -> dict[str, float]:
+    """Confidence per RHS attribute, read straight off the ``rules`` docstring.
+
+    A declared confidence overrides measurement.  Otherwise keep the tuples
+    that satisfy the condition and are complete on condition + LHS + the RHS
+    attribute, group them by LHS values, and divide the summed size of each
+    group's largest consistent subset (its most frequent RHS value) by the
+    number of tuples kept; 0 when none is kept.
+    """
+    result = {}
+    for attr in rule.rhs:
+        if rule.declared_confidence is not None:
+            result[attr] = rule.declared_confidence
+            continue
+        needed = [a for a, _ in rule.condition] + list(rule.lhs) + [attr]
+        kept = [
+            i
+            for i in range(len(table.rows))
+            if all(table.cell(i, a) is not MISSING for a in needed)
+            and all(table.cell(i, a) == lit for a, lit in rule.condition)
+        ]
+        groups = {}
+        for i in kept:
+            key = tuple(table.cell(i, a) for a in rule.lhs)
+            groups.setdefault(key, []).append(table.cell(i, attr))
+        support = sum(max(values.count(v) for v in values) for values in groups.values())
+        result[attr] = support / len(kept) if kept else 0.0
+    return result
 
 
 def scan_ranking_oracle(docs, q: Query) -> list[tuple[int, Document]]:

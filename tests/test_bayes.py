@@ -18,7 +18,7 @@ from webimpute import (
     impute_internal,
     parse_rules,
 )
-from webimpute.bayes import BayesDecision, CandidateScore
+from webimpute.bayes import BayesDecision, CandidateScore, _FrequencyCounts
 from webimpute.rules import conditions_hold, parse_rules_file
 from webimpute.synth import write_university_fixture
 from webimpute.tabular import MaskSpec, load_table, mask_random
@@ -243,24 +243,32 @@ class TestImputeInternal:
         ]
 
     def test_decisions_sharing_a_count_table_own_their_candidates(self):
-        # rows 3-5 are decided from one count table in one round: row 3 with
-        # a nonzero joint, rows 4 and 5 with every joint zero
+        # rows 3-7 are decided from one count table in one round: rows 3 and
+        # 6 from the same evidence, with a nonzero joint, rows 4, 5 and 7 with
+        # every joint zero, 4 and 7 from the same evidence
         table = make_table(
             ["A", "B"],
             [
                 ["a1", "b1"], ["a1", "b1"], ["a2", "b2"],
                 ["a1", MISSING], ["a8", MISSING], ["a9", MISSING],
+                ["a1", MISSING], ["a8", MISSING],
             ],
         )
         ruleset, graph = setup_ruleset("r: A -> B", table)
         _, decisions = impute_internal(table, graph, 0.5, max_rounds=1)
-        assert [(d.row, d.chosen) for d in decisions] == [(3, "b1"), (4, None), (5, None)]
+        assert [(d.row, d.chosen) for d in decisions] == [
+            (3, "b1"), (6, "b1"), (4, None), (5, None), (7, None),
+        ]
         expected = [d.to_dict() for d in decisions]
-        filled, zero, other_zero = decisions
+        filled, twin, zero, other_zero, zero_twin = decisions
         zero.candidates.clear()
+        filled.candidates[0] = CandidateScore("b1", 0.5, 0.5)
         filled.candidates[1] = CandidateScore("b2", 1.0, 1.0)
-        assert other_zero.to_dict() == expected[2]
+        assert twin.to_dict() == expected[1]
+        assert other_zero.to_dict() == expected[3]
+        assert zero_twin.to_dict() == expected[4]
         other_zero.candidates[0] = CandidateScore("b1", 1.0, 1.0)
+        twin.candidates.append(CandidateScore("b3", 0.0, 0.0))
         _, again = impute_internal(table, graph, 0.5, max_rounds=1)
         assert [d.to_dict() for d in again] == expected
 
@@ -333,12 +341,17 @@ def test_count_table_matches_oracle_on_random_tables():
         graph = build_dependency_graph(ruleset)
         for round_no in range(3):
             filled, decisions = impute_internal(table, graph, k, max_rounds=1)
+            scored = set()  # (count table, evidence) pairs decided this round
             for d in decisions:
                 found = bayes_joints_oracle(table, ruleset, d.row, d.attr)
                 if found is None:
                     assert (d.rule_id, d.candidates, d.chosen) == (None, [], None)
                     continue
                 rule, joints = found
+                setting = (rule.condition, d.attr, rule.lhs)
+                evidence = tuple(table.cell(d.row, a) for a in rule.lhs)
+                seen["repeated evidence"] += (setting, evidence) in scored
+                scored.add((setting, evidence))
                 total = sum(joints.values())
                 posteriors = [j / total if total > 0 else 0.0 for j in joints.values()]
                 assert d.rule_id == rule.id
@@ -368,5 +381,50 @@ def test_count_table_matches_oracle_on_random_tables():
             table = filled
     assert min(seen[key] for key in (
         "uncounted candidate", "conditional", "two-attribute LHS", "tie", "later round",
-        "all zero", "mixed",
+        "all zero", "mixed", "repeated evidence",
     )) >= 20, seen
+
+
+def test_multi_round_fills_match_oracle_on_random_tables():
+    # a scoring is kept for one round only: a fill can change the counts
+    # (and the candidates) that the same evidence meets in the next round
+    rng = random.Random(20261019)
+    later_round_fills = 0
+    for _ in range(1000):
+        table, ruleset, k = random_count_case(rng)
+        filled, decisions = impute_internal(table, build_dependency_graph(ruleset), k)
+        chosen = {(d.row, d.attr): d.chosen for d in decisions if d.chosen is not None}
+        expected = internal_fills_oracle(table, ruleset, k, max_rounds=10)
+        assert chosen == expected
+        assert filled.rows == table.with_cells((r, a, v) for (r, a), v in expected.items()).rows
+        later_round_fills += len(expected) > len(
+            internal_fills_oracle(table, ruleset, k, max_rounds=1)
+        )
+    assert later_round_fills >= 20
+
+
+def test_joints_are_computed_once_per_distinct_evidence_and_round(monkeypatch):
+    # 8 teams x 6 rows, each team one arena and city: City masked in most
+    # rows, Team too in every fifth, so Team is filled from Arena in round 1
+    # and those rows' City only has its evidence in round 2
+    rows = []
+    for i in range(48):
+        team = i % 8
+        city = MISSING if i % 3 else f"c{team}"
+        rows.append([MISSING if i % 5 == 4 else f"t{team}", f"a{team}", city])
+    table = make_table(["Team", "Arena", "City"], rows)
+    ruleset, graph = setup_ruleset("r: Team -> City\ns: Arena -> Team", table)
+    calls = []
+    joints = _FrequencyCounts.joints
+
+    def counting(self, evidence):
+        calls.append((self, evidence))  # the count table is kept alive: ids stay unique
+        return joints(self, evidence)
+
+    monkeypatch.setattr(_FrequencyCounts, "joints", counting)
+    _, decisions = impute_internal(table, graph, 0.5)
+    # round 1: Team from 8 distinct arenas (9 cells), City from 8 distinct
+    # teams (26 cells); round 2: City of 6 refilled rows from 5 distinct teams
+    assert len(decisions) == 41
+    assert sorted(Counter(id(counts) for counts, _ in calls).values()) == [5, 8, 8]
+    assert len({(id(counts), evidence) for counts, evidence in calls}) == len(calls)

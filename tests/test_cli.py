@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from webimpute import LocalCorpusProvider
 from webimpute.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -431,6 +432,92 @@ def test_missing_config_file_is_data_error(tmp_path):
         "--out", str(tmp_path / "out.csv"),
     )
     assert code == 2
+
+
+def _count_queries(monkeypatch):
+    """The list every ``LocalCorpusProvider.query`` call appends its query to."""
+    calls = []
+    query = LocalCorpusProvider.query
+
+    def counting(self, q):
+        calls.append(q)
+        return query(self, q)
+
+    monkeypatch.setattr(LocalCorpusProvider, "query", counting)
+    return calls
+
+
+def _assert_fails_before_querying(argv, bad, calls, capsys, unwritten=()):
+    assert run(*argv) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"error: {bad}: "), errors
+    assert calls == []
+    assert not any(Path(path).exists() for path in unwritten)
+
+
+@pytest.mark.parametrize("flag", ["out", "report", "patterns", "config", "directory"])
+def test_impute_checks_its_outputs_before_any_query(tmp_path, capsys, monkeypatch, flag):
+    # an output in a missing directory (flag or --config pattern cache), or
+    # an --out that is a directory, fails with exit 2 and the line a write
+    # would give, but before the table is read or a query made
+    calls = _count_queries(monkeypatch)
+    out = tmp_path / "out.csv"
+    bad = tmp_path / "no_such_dir" / "o.json"
+    if flag == "directory":
+        out.mkdir()
+        bad, out = out, tmp_path / "r.json"  # the report must not be written
+        argv = _impute_args(tmp_path, report=out)
+    elif flag == "config":
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"pattern_cache": str(bad)}), encoding="utf-8")
+        argv = _impute_args(tmp_path, config=config)
+    else:
+        argv = _impute_args(tmp_path, **{flag: bad})
+    _assert_fails_before_querying(argv, bad, calls, capsys, [out])
+    assert run(*_impute_args(tmp_path, out=tmp_path / "good.csv")) == 0
+    assert calls  # the same run with a writable --out queries
+
+
+def test_missing_output_directory_is_reported_before_a_missing_table(tmp_path, capsys):
+    bad = tmp_path / "nodir" / "out.csv"
+    argv = _impute_args(tmp_path, table=tmp_path / "missing.csv", out=bad)
+    _assert_fails_before_querying(argv, bad, [], capsys)
+
+
+@pytest.mark.parametrize("flag", ["out", "report"])
+def test_sweep_checks_its_outputs_before_any_query(tmp_path, capsys, monkeypatch, flag):
+    table_path, rules_path, corpus_path, v_dict, w_dict = _sweep_files(tmp_path)
+    calls = _count_queries(monkeypatch)
+    paths = {"out": tmp_path / "sweep.csv", "report": tmp_path / "summary.txt"}
+    bad = paths[flag] = tmp_path / "no_such_dir" / "o.txt"
+    argv = [
+        "sweep", "--table", str(table_path), "--rules", str(rules_path),
+        "--corpus", str(corpus_path), "--Q", "2",
+        "--dict", f"V={v_dict}", "--dict", f"W={w_dict}",
+        "--ratios", "0.2", "--seeds", "1", "--protect", "K",
+        "--out", str(paths["out"]), "--report", str(paths["report"]),
+    ]
+    _assert_fails_before_querying(argv, bad, calls, capsys, paths.values())
+
+
+def test_mine_patterns_checks_its_output_before_any_query(tmp_path, capsys, monkeypatch):
+    calls = _count_queries(monkeypatch)
+    bad = tmp_path / "no_such_dir" / "patterns.json"
+    argv = [
+        "mine-patterns", "--table", str(DATA / "films.csv"),
+        "--corpus", str(DATA / "films_corpus.jsonl"),
+        "--pair", "Film,Director", "--min-support", "4", "--out", str(bad),
+    ]
+    _assert_fails_before_querying(argv, bad, calls, capsys)
+
+
+def test_mask_checks_its_truth_path_before_writing_the_table(tmp_path, capsys):
+    out, bad = tmp_path / "masked.csv", tmp_path / "no_such_dir" / "truth.json"
+    argv = [
+        "mask", "--table", str(DATA / "films.csv"), "--ratio", "0.1", "--seed", "1",
+        "--out", str(out), "--truth", str(bad),
+    ]
+    _assert_fails_before_querying(argv, bad, [], capsys, [out])
 
 
 def test_log_level_controls_stderr(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import random
 import re
 
@@ -8,7 +9,9 @@ from oracles import (
     _find_unquoted,
     _split_top,
     _strip_comment,
+    confidence_oracle,
     parse_rules_oracle,
+    random_count_case,
     random_rule_line,
 )
 
@@ -215,6 +218,31 @@ class TestEstimate:
                 rule, make_table(["A", "B"], rows + [[group, plurality]])
             )["B"]
             assert after >= before - 1e-12
+
+
+def test_estimated_confidence_matches_oracle_on_random_tables():
+    # every rule measured (its declared confidence dropped) and as declared
+    rng = random.Random(20261019)
+    seen = collections.Counter()
+    for _ in range(300):
+        table, ruleset, _ = random_count_case(rng)
+        for declared in ruleset.rules:
+            rule = dataclasses.replace(declared, declared_confidence=None)
+            got = estimate_confidence(rule, table)
+            assert got == confidence_oracle(rule, table)
+            assert estimate_confidence(declared, table) == confidence_oracle(declared, table)
+            needed = set(rule.condition_attrs + rule.lhs + rule.rhs)
+            seen["conditional"] += bool(rule.condition)
+            seen["two-attribute LHS"] += len(rule.lhs) == 2
+            seen["two-attribute RHS"] += len(rule.rhs) == 2
+            seen["incomplete rows"] += any(
+                table.cell(i, a) is MISSING for i in range(len(table.rows)) for a in needed
+            )
+            seen["zero total"] += 0.0 in got.values()
+    assert min(seen[key] for key in (
+        "conditional", "two-attribute LHS", "two-attribute RHS", "incomplete rows",
+        "zero total",
+    )) >= 20, seen
 
 
 class TestRuleSet:

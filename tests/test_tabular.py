@@ -153,6 +153,20 @@ class TestMask:
         masked, truth = mask_random(self.table, spec)
         assert len(truth) == int(0.05 * 51 * 3)  # floor over maskable cells
 
+    @pytest.mark.parametrize("rows", [5, 10, 18, 30])
+    def test_count_of_a_ratio_in_hundredths_is_exact(self, rows):
+        # ten maskable cells a row, so up to 0.9 is feasible; a plain float
+        # floor undercounts (0.41, 300) and (0.58, 50) among others, because
+        # 0.41 * 300 == 122.99999999999999
+        columns = ["ID"] + [f"C{j}" for j in range(10)]
+        cells = [[f"r{i}"] + [f"v{i}.{j}" for j in range(10)] for i in range(rows)]
+        table = make_table(columns, cells)
+        n = rows * 10
+        for hundredths in range(91):
+            spec = MaskSpec(hundredths / 100, 1, frozenset({"ID"}))
+            _, truth = mask_random(table, spec)
+            assert len(truth) == hundredths * n // 100, (hundredths, n)
+
     def test_deterministic(self):
         spec = MaskSpec(ratio=0.2, seed=7, protected_attrs={"ID"})
         a_table, a_truth = mask_random(self.table, spec)
