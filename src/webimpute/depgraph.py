@@ -22,7 +22,7 @@ weights lie in [0, 1] because ``RuleSet`` rejects any other confidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .rules import RuleSet, conditions_hold
 from .tabular import MISSING, Table
@@ -67,9 +67,31 @@ class RuleApplication:
 
 @dataclass(frozen=True)
 class DependencyGraph:
+    """The graph, and the rule applications into each attribute.
+
+    ``_plans`` holds the keyword search's memo (see ``keywords``).  Its keys
+    read no cell values, so one graph may serve several tables.
+    """
+
     nodes: list[GraphNode]
     edges: list[GraphEdge]
     applications: dict[str, list[RuleApplication]]  # target -> in declaration order
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def upstream(self, sink: str) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
+        """Attributes reachable backwards from ``sink`` through determinants,
+        ``sink`` first, and the distinct conditions of the applications into
+        them: all of a row that the feasible applications reaching ``sink``
+        depend on."""
+        attrs = [sink]
+        conditions: dict[tuple[str, str], None] = {}  # an insertion-ordered set
+        for attr in attrs:  # grows as it is walked
+            for app in self.applications.get(attr, ()):
+                conditions.update(dict.fromkeys(app.conditions))
+                for det in app.determinants:
+                    if det not in attrs:
+                        attrs.append(det)
+        return tuple(attrs), tuple(conditions)
 
     def feasible(
         self, table: Table, row: int, attr: str

@@ -22,6 +22,15 @@ count and attribute set from below.  The dependency graph decides which
 applications can supply an attribute (``DependencyGraph.feasible``, memoised
 per call) and which form logic nodes (``RuleApplication.junction``).
 
+The search reads a row only through which attributes upstream of the sink
+are missing and which condition literals hold (``DependencyGraph.upstream``);
+the values themselves become only ``source_values``.  So its ranked result
+is memoised on the graph (memo functions, Michie 1968) under the key
+``(sink, limit, missing?, holds?)``: one missing flag per upstream attribute
+and one holds flag per condition of the applications into them.  A later
+cell with the same key runs no search: it takes the stored applications,
+weights, sources, literals and ranks and reads only its own source values.
+
 ``select_optimal`` keeps the first (best) graph only when its weight reaches
 the group threshold; ``render_keywords`` turns a graph into an ordered keyword
 list - the source values it recorded, in breadth-first discovery order, then
@@ -47,7 +56,8 @@ class SinkGraph:
     ``applications`` maps each derived attribute (the sink and every missing
     intermediate) to the rule application supplying it.  ``source_values``
     holds the tuple's cells of ``source_attrs``.  ``rank``, the sort key
-    ``(-weight, node count, attrs)``, is computed once per graph.
+    ``(-weight, node count, attrs)``, is computed once per graph unless the
+    search memo passes the rank of an equal-shaped graph it built before.
     """
 
     sink: str
@@ -56,11 +66,12 @@ class SinkGraph:
     source_attrs: tuple[str, ...]
     source_values: tuple[str, ...]
     condition_literals: tuple[str, ...]
-    rank: tuple[float, int, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    rank: tuple[float, int, tuple[str, ...]] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        shape = _shape(self.sink, self.applications)
-        object.__setattr__(self, "rank", (-self.weight, *shape))
+        if self.rank is None:
+            shape = _shape(self.sink, self.applications)
+            object.__setattr__(self, "rank", (-self.weight, *shape))
 
     @property
     def attrs(self) -> tuple[str, ...]:
@@ -115,11 +126,42 @@ def enumerate_single_sink_graphs(
     weight from above; on a weight tie, ``_beaten`` bounds the rest of the key
     from below.  A completion that ties the last held graph on the whole key
     comes later and loses the tie.
+
+    The result is memoised on ``graph`` per row signature (see the module
+    docstring); a hit builds each graph with this row's source values.
     """
     if table.cell(row, sink) is not MISSING:
         raise ValueError(f"cell (row {row}, {sink}) is not missing")
     check_count("limit", limit)
+    upstream = graph._plans.get(sink)
+    if upstream is None:
+        upstream = graph._plans[sink] = (*graph.upstream(sink), {})
+    attrs, conditions, plans = upstream
+    key = (
+        limit,
+        tuple(table.cell(row, a) is MISSING for a in attrs),
+        tuple(table.cell(row, a) == literal for a, literal in conditions),
+    )
+    plan = plans.get(key)
+    if plan is None:
+        ranked = _search(graph, table, row, sink, limit)
+        plans[key] = [
+            (g.applications, g.weight, g.source_attrs, g.condition_literals, g.rank)
+            for g in ranked
+        ]
+        return ranked
+    return [
+        SinkGraph(
+            sink, apps, weight, sources, tuple(table.cell(row, a) for a in sources), literals, rank
+        )
+        for apps, weight, sources, literals, rank in plan
+    ]
 
+
+def _search(
+    graph: DependencyGraph, table: Table, row: int, sink: str, limit: int
+) -> list[SinkGraph]:
+    """The branch and bound of ``enumerate_single_sink_graphs``, unmemoised."""
     options: dict[str, list[_Option]] = {}
 
     def usable(attr: str) -> list[_Option]:

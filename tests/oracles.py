@@ -594,6 +594,48 @@ def random_ranked_sink_case(rng: random.Random):
     return table, RuleSet.estimate(rules, table), sink
 
 
+def random_shape_case(rng: random.Random):
+    """Two tables of 10 to 30 rows sharing their columns, and a rule set.
+
+    Every row takes its missing cells from one pool of three masks, so row
+    signatures repeat within and across the tables, while each present cell
+    holds a value of its own row.  The condition columns X and Y vary from
+    row to row (X is sometimes missing), so a rule's condition holds in some
+    rows only.  Rules are drawn as in ``random_ranked_sink_case``, with
+    declared confidences, so both tables share one graph.
+    """
+    attrs = ["A", "B", "C", "D", "E", "F"][: rng.randint(4, 6)]
+    columns = attrs + ["X", "Y"]  # X and Y only carry condition literals
+    masks = [{a for a in attrs if rng.random() < 0.5} or {rng.choice(attrs)} for _ in range(3)]
+
+    def table(name: str) -> Table:
+        rows = []
+        for r in range(rng.randint(10, 30)):
+            mask = rng.choice(masks)
+            rows.append(
+                [MISSING if a in mask else f"{name}{a.lower()}{r}" for a in attrs]
+                + [rng.choice(["on", "off", MISSING]), rng.choice(["x", "y"])]
+            )
+        return Table(name, columns, rows)
+
+    tables = [table("s"), table("t")]
+    rules = []
+    for i in range(rng.randint(4, 12)):
+        if rules and rng.random() < 0.25:
+            base = rng.choice(rules)
+            rules.append(
+                Rule(f"r{i}", base.condition, base.lhs, base.rhs, base.declared_confidence)
+            )
+            continue
+        rhs = tuple(rng.sample(attrs, rng.choice([1, 1, 2])))
+        others = [a for a in attrs if a not in rhs]
+        lhs = tuple(rng.sample(others, rng.randint(1, min(2, len(others)))))
+        pairs = rng.sample([("X", ["on", "off"]), ("Y", ["x", "y"])], rng.choice([0, 0, 1, 2]))
+        condition = tuple((c, rng.choice(literals)) for c, literals in pairs)
+        rules.append(Rule(f"r{i}", condition, lhs, rhs, rng.choice([0.5, 0.8, 1.0])))
+    return tables, RuleSet.estimate(rules, tables[0])
+
+
 def _split_top(text: str, sep: str) -> list[str]:
     """Split on ``sep`` outside double quotes and square brackets."""
     parts, buf, depth, quoted = [], [], 0, False

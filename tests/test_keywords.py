@@ -7,11 +7,13 @@ from oracles import (
     _sink_graph_key,
     best_weight_oracle,
     random_ranked_sink_case,
+    random_shape_case,
     random_sink_case,
     sink_graphs_oracle,
 )
 from webimpute import (
     MISSING,
+    DependencyGraph,
     RuleSet,
     Table,
     build_dependency_graph,
@@ -177,12 +179,15 @@ def test_chain_selection_scales_roughly_linearly():
         return table, graph, attrs[-1]
 
     def measure(n):
-        table, graph, sink = build_chain(n)
-        start = time.perf_counter()
+        # a fresh graph each time: on a warm one, the search memo would answer
+        elapsed = 0.0
         for _ in range(3):
+            table, graph, sink = build_chain(n)
+            start = time.perf_counter()
             graphs = enumerate_single_sink_graphs(graph, table, 0, sink)
             assert select_optimal(graphs, 0.0) is not None
-        return time.perf_counter() - start
+            elapsed += time.perf_counter() - start
+        return elapsed
 
     small, big = measure(12), measure(120)
     assert big < 60 * max(small, 1e-4)
@@ -201,6 +206,59 @@ def test_search_matches_exhaustive_ranking_on_random_graphs():
                 assert g.rank == _sink_graph_key(g), (case, n)
                 sources = [table.cell(0, a) for a in g.source_attrs]
                 assert render_keywords(g) == [*sources, *g.condition_literals, sink]
+
+
+def test_memoised_search_matches_exhaustive_ranking_row_by_row():
+    # One graph serves every row of two tables; rows repeat a missing mask
+    # but not its values, and conditions hold in some rows only.  Every cell
+    # must still get its own ranking and its own source values.
+    rng = random.Random(1968)
+    for case in range(60):
+        tables, ruleset = random_shape_case(rng)
+        graph = build_dependency_graph(ruleset)
+        seen, repeats = set(), 0
+        for table in tables:
+            for row, sink in table.missing_cells():
+                ranked = sink_graphs_oracle(graph, table, row, sink)
+                values = table.rows[row]
+                for n in (1, 2, 8):
+                    # finer than the search's own key, so each repeat is a hit
+                    signature = (sink, n, tuple(v is MISSING for v in values), tuple(values[-2:]))
+                    repeats += signature in seen
+                    seen.add(signature)
+                    got = enumerate_single_sink_graphs(graph, table, row, sink, limit=n)
+                    assert got == ranked[:n], (case, table.name, row, sink, n)
+                    for g in got:
+                        assert g.rank == _sink_graph_key(g), (case, row, sink, n)
+        assert repeats >= 20, case
+
+
+def test_warm_signature_runs_no_search(monkeypatch):
+    # Rows 1 and 2 share row 0's signature: A present, B and C missing, X=on.
+    table = make_table(
+        ["A", "B", "C", "X"],
+        [["a0", MISSING, MISSING, "on"], ["a1", MISSING, MISSING, "on"],
+         ["a2", MISSING, MISSING, "on"]],
+    )
+    text = "r1: A -> B @ 0.9\nr2: [X=on], B -> C @ 0.8\nr3: A -> C @ 0.5"
+    _, graph = setup_graph(text, table)
+    expected = [
+        enumerate_single_sink_graphs(setup_graph(text, table)[1], table, row, "C")
+        for row in range(3)
+    ]
+    assert enumerate_single_sink_graphs(graph, table, 0, "C") == expected[0]
+
+    def no_search(*args):
+        raise AssertionError("search ran on a warm signature")
+
+    monkeypatch.setattr(DependencyGraph, "feasible", no_search)
+    monkeypatch.setattr(keywords, "_finalize", no_search)
+    monkeypatch.setattr(keywords, "_shape", no_search)
+    for row in (1, 2):
+        got = enumerate_single_sink_graphs(graph, table, row, "C")
+        assert got == expected[row]
+        assert [g.source_values for g in got] == [(f"a{row}",), (f"a{row}",)]
+        assert [g.rank for g in got] == [g.rank for g in expected[row]]
 
 
 def test_deep_chain_returns_first_eight_in_enumeration_order():
