@@ -1,16 +1,21 @@
 """Internal imputation: fill missing cells from the table's own evidence.
 
-For a missing cell the applicable dependencies are the graph's feasible
-applications (``DependencyGraph.feasible``: the condition holds in the tuple)
-with every determinant present; the heaviest decides (ties: lowest rule id).
-Candidates are the distinct present values of the attribute over
-condition-satisfying tuples.  Each candidate ``d`` gets the naive-Bayes joint
+For a missing cell the applicable dependencies are the graph's rule
+applications into the attribute whose condition holds in the tuple and whose
+determinants are all present; the heaviest decides (ties: lowest rule id).
+Each attribute's applications are ranked that way once per call, so a cell
+takes the first applicable one in the ranking.  Candidates are the distinct
+present values of the attribute over condition-satisfying tuples.  Each
+candidate ``d`` gets the naive-Bayes joint
 
     P(d) * prod_i P(a_i | d)
 
 with probabilities estimated by frequency counts over the condition-satisfying
-tuples complete on the attribute and every determinant, all taken in one scan
-(:class:`_FrequencyCounts`).  There is no smoothing: a candidate never seen
+tuples complete on the attribute and every determinant.  The condition
+tuples are tallied by their distinct (attribute, determinants) value
+combination, and each combination is folded into the counts once, with its
+multiplicity (:class:`_FrequencyCounts`); a table that obeys its FDs holds
+few of them.  There is no smoothing: a candidate never seen
 with one of the evidence values scores 0, so only the candidates seen with
 every one are multiplied out.  Joints are normalized to posteriors over the
 candidate set and the best candidate is written back when its posterior
@@ -32,10 +37,13 @@ until a sweep fills nothing or ``max_rounds`` is hit.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .depgraph import DependencyGraph, RuleApplication
+from .rules import condition_rows
 from .tabular import MISSING, Table, check_count, check_ratio
 
 ABSTAIN = None
@@ -86,7 +94,11 @@ class BayesDecision:
 
 @dataclass
 class _FrequencyCounts:
-    """One scan's counts for a (condition, target attr, evidence attrs) setting."""
+    """Counts for a (condition, target attr, evidence attrs) setting.
+
+    Built from one tally of the condition rows per distinct (target,
+    evidence) value combination, not from one pass per row.
+    """
 
     candidates: list[str]  # sorted present target values over the condition rows
     total: int  # condition rows complete on the target and every evidence attr
@@ -101,28 +113,27 @@ class _FrequencyCounts:
         evidence_attrs: tuple[str, ...],
         condition: tuple[tuple[str, str], ...],
     ) -> "_FrequencyCounts":
-        col = table.column_index(attr)
-        evidence_cols = [(a, table.column_index(a)) for a in evidence_attrs]
-        condition_cols = [(table.column_index(a), lit) for a, lit in condition]
+        # The key has at least two columns, because a rule's LHS is never
+        # empty, so itemgetter returns a tuple.  Counter keeps the order in
+        # which each combination first appears, so the dicts below get their
+        # keys in the order a row-by-row scan would give them.
+        cols = map(table.column_index, (attr, *evidence_attrs))
+        combos = Counter(map(itemgetter(*cols), condition_rows(table, condition)))
         present: set[str] = set()
         target: dict[str, int] = {}
         pair: dict[tuple[str, str], dict[str, int]] = {}
         total = 0
-        for row in table.rows:
-            d = row[col]
+        for (d, *values), n in combos.items():
             if d is MISSING:
                 continue
-            if condition_cols and not all(row[c] == lit for c, lit in condition_cols):
-                continue
             present.add(d)
-            keys = [(a, row[c]) for a, c in evidence_cols]
-            if any(v is MISSING for _, v in keys):
+            if MISSING in values:
                 continue
-            total += 1
-            target[d] = target.get(d, 0) + 1
-            for key in keys:
+            total += n
+            target[d] = target.get(d, 0) + n
+            for key in zip(evidence_attrs, values):
                 counts = pair.setdefault(key, {})
-                counts[d] = counts.get(d, 0) + 1
+                counts[d] = counts.get(d, 0) + n
         return cls(sorted(present), total, target, pair)
 
     @cached_property
@@ -157,19 +168,19 @@ class _FrequencyCounts:
 def _decide_cell(
     table: Table,
     row: int,
-    attr: str,
     app: RuleApplication,
+    evidence: tuple[tuple[str, str], ...],
     k: float,
     cache: dict,
 ) -> BayesDecision:
     # The cache lives for one round, during which the table does not change.
     # It holds a count table per setting and a scoring per (setting, evidence).
+    attr = app.target
     key = (app.conditions, attr, app.determinants)
     counts = cache.get(key)
     if counts is None:
         counts = _FrequencyCounts.build(table, attr, app.determinants, app.conditions)
         cache[key] = counts
-    evidence = tuple((a, table.cell(row, a)) for a in app.determinants)
     scoring = cache.get((key, evidence))
     if scoring is None:
         scoring = _score(counts, evidence, k)
@@ -211,6 +222,21 @@ def impute_internal(
     """
     check_ratio("k", k)
     check_count("max_rounds", max_rounds)
+    # Each attribute's applications, heaviest first (ties: lowest rule id),
+    # with their condition and determinant columns resolved.  The first one
+    # usable in a row is the min over the row's feasible applications: a
+    # rule has one application per attribute and rule ids are unique.
+    ranked = {
+        attr: [
+            (
+                app,
+                [(table.column_index(a), lit) for a, lit in app.conditions],
+                [table.column_index(a) for a in app.determinants],
+            )
+            for app in sorted(apps, key=lambda a: (-a.weight, a.rule_id))
+        ]
+        for attr, apps in graph.applications.items()
+    }
     current = table
     remaining = list(table.missing_cells())
     fill_decisions: list[BayesDecision] = []
@@ -219,13 +245,16 @@ def impute_internal(
         cache: dict = {}
         sweep: list[BayesDecision] = []
         for row, attr in remaining:
-            feasible = graph.feasible(current, row, attr)
-            apps = [app for app, missing in feasible if not missing]
-            if not apps:
+            cells = current.rows[row]
+            for app, conditions, determinants in ranked.get(attr, ()):
+                if all(cells[c] == lit for c, lit in conditions):
+                    values = [cells[c] for c in determinants]
+                    if MISSING not in values:
+                        evidence = tuple(zip(app.determinants, values))
+                        sweep.append(_decide_cell(current, row, app, evidence, k, cache))
+                        break
+            else:
                 sweep.append(BayesDecision(row, attr, None, [], ABSTAIN, k))
-                continue
-            best_app = min(apps, key=lambda a: (-a.weight, a.rule_id))
-            sweep.append(_decide_cell(current, row, attr, best_app, k, cache))
         abstains = {(d.row, d.attr): d for d in sweep if d.chosen is None}
         fills = [d for d in sweep if d.chosen is not None]
         if not fills:

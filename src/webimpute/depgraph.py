@@ -15,9 +15,13 @@ conditions into the junction, and the per-RHS confidence sits on the
 junction -> attribute edge.  Condition nodes never have incoming edges.
 The graph may contain cycles; nothing downstream assumes acyclicity.
 
-Both imputation phases take from here which rule applications can supply a
-cell (:meth:`DependencyGraph.feasible`) and which form logic nodes; edge
-weights lie in [0, 1] because ``RuleSet`` rejects any other confidence.
+Both imputation phases take from here the rule applications into each
+attribute (:attr:`DependencyGraph.applications`) and which form logic
+nodes; edge weights lie in [0, 1] because ``RuleSet`` rejects any other
+confidence.  The keyword phase asks :meth:`DependencyGraph.feasible` which
+applications can supply a cell.  The internal phase ranks each attribute's
+applications once and tests a row's condition and determinants itself,
+which picks the same application as the best feasible one.
 """
 
 from __future__ import annotations

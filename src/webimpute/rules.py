@@ -15,14 +15,18 @@ clause declares a confidence in (0, 1] that overrides measurement.
 Confidence is measured per (rule, RHS attribute) edge as the plurality
 ratio: restrict to tuples that satisfy the condition and are complete on
 condition + LHS + that RHS attribute, group them by LHS values, and count
-the largest consistent subset per group.
+the largest consistent subset per group.  The tuples are tallied once per
+distinct (LHS, RHS) value combination, so each group's counts come from its
+combinations, not from its rows one by one.
 """
 
 from __future__ import annotations
 
 import logging
 import re
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -90,6 +94,14 @@ class Rule:
 def conditions_hold(table: Table, row: int, condition: tuple[tuple[str, str], ...]) -> bool:
     """True when the row satisfies every ``(attr, literal)`` equality (values present)."""
     return all(table.cell(row, a) == lit for a, lit in condition)
+
+
+def condition_rows(table: Table, condition: tuple[tuple[str, str], ...]) -> list[list]:
+    """The rows that satisfy every ``(attr, literal)`` equality (values present)."""
+    if not condition:
+        return table.rows
+    cols = [(table.column_index(a), lit) for a, lit in condition]
+    return [row for row in table.rows if all(row[c] == lit for c, lit in cols)]
 
 
 _QUOTED = re.compile(r'"[^"]*"?')  # an unclosed quote runs to the end
@@ -214,28 +226,24 @@ def estimate_confidence(rule: Rule, table: Table) -> dict[str, float]:
             f"rule {rule.id} references attributes not in table "
             f"{table.name!r}: {', '.join(sorted(missing_attrs))}"
         )
+    if rule.declared_confidence is not None:
+        return dict.fromkeys(rule.rhs, rule.declared_confidence)
     result: dict[str, float] = {}
+    rows = condition_rows(table, rule.condition)
+    lhs_cols = [table.column_index(a) for a in rule.lhs]
     for attr in rule.rhs:
-        if rule.declared_confidence is not None:
-            result[attr] = rule.declared_confidence
-            continue
-        needed = list(dict.fromkeys(rule.condition_attrs + rule.lhs + (attr,)))
-        needed_cols = [table.column_index(a) for a in needed]
-        condition_cols = [(table.column_index(a), lit) for a, lit in rule.condition]
-        lhs_cols = [table.column_index(a) for a in rule.lhs]
-        col = table.column_index(attr)
+        # The key has at least two columns, because a rule's LHS is never
+        # empty, so itemgetter returns a tuple: the LHS values, then attr's.
+        combos = Counter(map(itemgetter(*lhs_cols, table.column_index(attr)), rows))
         groups: dict[tuple, dict[str, int]] = {}
         total = 0
-        for row in table.rows:
-            if any(row[c] is MISSING for c in needed_cols):
+        for combo, n in combos.items():
+            if MISSING in combo:
                 continue
-            if condition_cols and not all(row[c] == lit for c, lit in condition_cols):
-                continue
-            total += 1
-            counts = groups.setdefault(tuple(row[c] for c in lhs_cols), {})
-            value = row[col]
-            counts[value] = counts.get(value, 0) + 1
+            total += n
+            groups.setdefault(combo[:-1], {})[combo[-1]] = n
         if total == 0:
+            needed = list(dict.fromkeys(rule.condition_attrs + rule.lhs + (attr,)))
             log.warning(
                 "rule %s: no tuples satisfy the condition and are complete on "
                 "%s; confidence(%s) = 0",

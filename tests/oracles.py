@@ -130,6 +130,37 @@ def internal_fills_oracle(table: Table, ruleset: RuleSet, k: float, max_rounds: 
     return filled
 
 
+def count_table_oracle(table: Table, attr: str, evidence_attrs, condition):
+    """``(candidates, total, target, pair)`` of a count table, row by row.
+
+    Read off the ``bayes`` docstring: the candidates are the sorted present
+    values of ``attr`` over the rows that satisfy the condition; ``total``,
+    ``target`` (candidate -> n) and ``pair`` ((evidence attr, value) ->
+    {candidate: n}) count the condition rows complete on ``attr`` and every
+    evidence attribute.  Keys are inserted in the order the rows give them.
+    """
+    candidates = set()
+    total = 0
+    target = {}
+    pair = {}
+    for i in range(len(table.rows)):
+        if not all(table.cell(i, a) == lit for a, lit in condition):
+            continue
+        d = table.cell(i, attr)
+        if d is MISSING:
+            continue
+        candidates.add(d)
+        values = [table.cell(i, a) for a in evidence_attrs]
+        if any(v is MISSING for v in values):
+            continue
+        total += 1
+        target[d] = target.get(d, 0) + 1
+        for a, v in zip(evidence_attrs, values):
+            counts = pair.setdefault((a, v), {})
+            counts[d] = counts.get(d, 0) + 1
+    return sorted(candidates), total, target, pair
+
+
 def confidence_oracle(rule: Rule, table: Table) -> dict[str, float]:
     """Confidence per RHS attribute, read straight off the ``rules`` docstring.
 
@@ -525,6 +556,36 @@ def random_count_case(rng: random.Random):
         rules.append(Rule(f"r{i}", condition, lhs, rhs, declared))
     k = rng.choice([0.0, 0.3, 0.5, 0.8, 1.0])
     return table, RuleSet.estimate(rules, table), k
+
+
+def random_count_table_case(rng: random.Random):
+    """A table of 3 to 40 rows and one count-table setting on it.
+
+    Attributes take one of two to four values, so combinations repeat; in
+    half of the tables ``K`` is a key (one value per row), so any
+    combination holding it is distinct.  About a fifth of the cells are
+    masked.  The setting is ``(attr, evidence_attrs, condition)``: one or
+    two evidence attributes, and a one-literal condition half the time.
+    """
+    attrs = ["A", "B", "C", "D", "K"]
+    n_rows = rng.randint(3, 40)
+    key_like = rng.random() < 1 / 2
+    domain = {a: rng.randint(2, 4) for a in attrs}
+    rows = []
+    for i in range(n_rows):
+        row = [f"{a.lower()}{rng.randint(1, domain[a])}" for a in attrs]
+        if key_like:
+            row[-1] = f"k{i}"
+        rows.append([MISSING if rng.random() < 0.2 else v for v in row])
+    table = Table("counts", attrs, rows)
+    attr = rng.choice(attrs[:-1])
+    others = [a for a in attrs if a != attr]
+    evidence = tuple(rng.sample(others, rng.randint(1, 2)))
+    condition = ()
+    if rng.random() < 0.5:
+        ca = rng.choice(others)
+        condition = ((ca, f"{ca.lower()}{rng.randint(1, domain[ca])}"),)
+    return table, attr, evidence, condition
 
 
 def random_sink_case(rng: random.Random):

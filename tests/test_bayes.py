@@ -6,9 +6,11 @@ import pytest
 from oracles import (
     bayes_joints_oracle,
     bayes_oracle,
+    count_table_oracle,
     internal_fills_oracle,
     random_bayes_case,
     random_count_case,
+    random_count_table_case,
 )
 from webimpute import (
     MISSING,
@@ -383,6 +385,83 @@ def test_count_table_matches_oracle_on_random_tables():
         "uncounted candidate", "conditional", "two-attribute LHS", "tie", "later round",
         "all zero", "mixed", "repeated evidence",
     )) >= 20, seen
+
+
+def test_count_table_build_matches_row_scan_oracle():
+    # every field equal to the row-by-row scan's, dict keys in its order too
+    rng = random.Random(20261020)
+    seen = Counter()
+    for _ in range(600):
+        table, attr, evidence, condition = random_count_table_case(rng)
+        counts = _FrequencyCounts.build(table, attr, evidence, condition)
+        candidates, total, target, pair = count_table_oracle(table, attr, evidence, condition)
+        assert counts.candidates == candidates
+        assert counts.total == total
+        assert counts.target == target and list(counts.target) == list(target)
+        assert counts.pair == pair
+        assert [list(m.items()) for m in counts.pair.values()] == [
+            list(m.items()) for m in pair.values()
+        ]
+        assert list(counts.pair) == list(pair)
+
+        cols = (attr,) + evidence
+        rows = [
+            [table.cell(i, a) for a in cols]
+            for i in range(len(table.rows))
+            if conditions_hold(table, i, condition)
+        ]
+        complete = Counter(tuple(r) for r in rows if MISSING not in r)
+        seen["condition"] += bool(condition)
+        seen["two determinants"] += len(evidence) == 2
+        seen["missing target in a condition row"] += bool(condition) and any(
+            r[0] is MISSING for r in rows
+        )
+        seen["missing evidence next to a present target"] += any(
+            r[0] is not MISSING and MISSING in r[1:] for r in rows
+        )
+        seen["combination counted 3 times"] += any(n >= 3 for n in complete.values())
+        seen["key-like column, every combination distinct"] += (
+            "K" in evidence
+            and len(complete) >= 2
+            and all(n == 1 for n in complete.values())
+            and len({r[cols.index("K")] for r in rows}) == len(rows)
+        )
+    assert min(seen.values()) >= 20 and len(seen) == 6, seen
+
+
+def test_application_choice_is_the_best_feasible_application():
+    # The rules are declared in shuffled order, so a weight tie broken by
+    # declaration order instead of rule id shows.
+    def rank(app):
+        return (-app.weight, app.rule_id)
+
+    rng = random.Random(20261021)
+    seen = Counter()
+    for _ in range(1000):
+        table, ruleset, k = random_count_case(rng)
+        rules = list(ruleset.rules)
+        rng.shuffle(rules)
+        graph = build_dependency_graph(RuleSet(rules, ruleset.confidences))
+        _, decisions = impute_internal(table, graph, k, max_rounds=1)
+        for d in decisions:
+            feasible = graph.feasible(table, d.row, d.attr)
+            usable = [a for a, missing in feasible if not missing]
+            best = min(usable, key=rank, default=None)
+            assert d.rule_id == (best.rule_id if best else None)
+            if best is None:
+                continue
+            seen["two or more usable"] += len(usable) >= 2
+            heavier = [a for a in graph.applications[d.attr] if rank(a) < rank(best)]
+            holds = {a.rule_id for a, _ in feasible}
+            seen["heavier skipped: condition fails"] += any(
+                a.rule_id not in holds for a in heavier
+            )
+            seen["heavier skipped: determinant missing"] += any(
+                a.rule_id in holds and a not in usable for a in heavier
+            )
+            tied = [a for a in usable if a.weight == best.weight]
+            seen["weight tie broken on rule id"] += len(tied) >= 2 and tied[0] is not best
+    assert min(seen.values()) >= 20 and len(seen) == 4, seen
 
 
 def test_multi_round_fills_match_oracle_on_random_tables():

@@ -16,7 +16,7 @@ from oracles import (
 )
 
 from webimpute import Rule, RuleSet, Table, estimate_confidence, parse_rules
-from webimpute.rules import RuleError, RuleParseError
+from webimpute.rules import RuleError, RuleParseError, conditions_hold
 from webimpute.tabular import MISSING
 
 
@@ -239,10 +239,56 @@ def test_estimated_confidence_matches_oracle_on_random_tables():
                 table.cell(i, a) is MISSING for i in range(len(table.rows)) for a in needed
             )
             seen["zero total"] += 0.0 in got.values()
+            for attr in rule.rhs:
+                kept = collections.Counter(
+                    tuple(table.cell(i, a) for a in rule.lhs + (attr,))
+                    for i in range(len(table.rows))
+                    if conditions_hold(table, i, rule.condition)
+                    and all(
+                        table.cell(i, a) is not MISSING
+                        for a in rule.condition_attrs + rule.lhs + (attr,)
+                    )
+                )
+                seen["a kept (LHS, RHS) combination repeats"] += any(
+                    n > 1 for n in kept.values()
+                )
+                seen["every kept combination is distinct"] += bool(kept) and all(
+                    n == 1 for n in kept.values()
+                )
     assert min(seen[key] for key in (
         "conditional", "two-attribute LHS", "two-attribute RHS", "incomplete rows",
-        "zero total",
+        "zero total", "a kept (LHS, RHS) combination repeats",
+        "every kept combination is distinct",
     )) >= 20, seen
+
+
+def test_estimated_confidence_matches_oracle_on_a_roster_sized_table():
+    # 1,000 rows over 40 teams, each with one arena, the arena in one city,
+    # the city in one state; one row in 25 has a wrong city, so not every
+    # confidence is 1; then 30% of the cells are masked
+    rng = random.Random(20261022)
+    teams = [f"team{i}" for i in range(40)]
+    arena = {t: f"arena{i}" for i, t in enumerate(teams)}
+    city = {a: f"city{rng.randrange(30)}" for a in arena.values()}
+    state = {f"city{i}": f"state{rng.randrange(13)}" for i in range(30)}
+    rows = []
+    for _ in range(1000):
+        team = rng.choice(teams)
+        home = city[arena[team]]
+        if rng.random() < 0.04:
+            home = f"city{rng.randrange(30)}"
+        row = [team, arena[team], home, state[home]]
+        rows.append([MISSING if rng.random() < 0.3 else v for v in row])
+    table = make_table(["Team", "Arena", "City", "State"], rows)
+    rules = parse_rules(
+        "r1: Team -> Arena\nr2: Arena -> City\nr3: City -> State\nr4: Arena -> Team"
+    )
+    measured = {}
+    for rule in rules:
+        got = estimate_confidence(rule, table)
+        assert got == confidence_oracle(rule, table)
+        measured.update(got)
+    assert 0.0 < min(measured.values()) < 1.0, measured
 
 
 class TestRuleSet:
