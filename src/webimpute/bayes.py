@@ -32,7 +32,9 @@ fills a cell only from tuples that share its LHS values.  A decision copies
 the zero template into its own list and writes in the shared nonzero scores.
 
 The table is swept repeatedly (a fill can unlock evidence for another cell)
-until a sweep fills nothing or ``max_rounds`` is hit.
+until a sweep fills nothing or ``max_rounds`` is hit.  A round's fills go
+into a table derived with :meth:`Table.with_cells`, which copies only the rows
+they write, and the next round sweeps only the cells the round left missing.
 """
 
 from __future__ import annotations
@@ -240,10 +242,13 @@ def impute_internal(
     current = table
     remaining = list(table.missing_cells())
     fill_decisions: list[BayesDecision] = []
-    abstains: dict[tuple[int, str], BayesDecision] = {}
+    abstains: list[BayesDecision] = []
     for _ in range(max_rounds):
+        # One decision per remaining cell, in order, against the table as the
+        # round began; its fills apply after the sweep, its abstains remain.
         cache: dict = {}
-        sweep: list[BayesDecision] = []
+        start = len(fill_decisions)
+        abstains = []
         for row, attr in remaining:
             cells = current.rows[row]
             for app, conditions, determinants in ranked.get(attr, ()):
@@ -251,19 +256,15 @@ def impute_internal(
                     values = [cells[c] for c in determinants]
                     if MISSING not in values:
                         evidence = tuple(zip(app.determinants, values))
-                        sweep.append(_decide_cell(current, row, app, evidence, k, cache))
+                        decision = _decide_cell(current, row, app, evidence, k, cache)
                         break
             else:
-                sweep.append(BayesDecision(row, attr, None, [], ABSTAIN, k))
-        abstains = {(d.row, d.attr): d for d in sweep if d.chosen is None}
-        fills = [d for d in sweep if d.chosen is not None]
-        if not fills:
+                decision = BayesDecision(row, attr, None, [], ABSTAIN, k)
+            (abstains if decision.chosen is None else fill_decisions).append(decision)
+        if len(fill_decisions) == start:
             break
-        current = current.with_cells((d.row, d.attr, d.chosen) for d in fills)
-        fill_decisions.extend(fills)
-        filled_cells = {(d.row, d.attr) for d in fills}
-        remaining = [cell for cell in remaining if cell not in filled_cells]
+        current = current.with_cells((d.row, d.attr, d.chosen) for d in fill_decisions[start:])
+        remaining = [(d.row, d.attr) for d in abstains]
         if not remaining:
             break
-    decisions = fill_decisions + [abstains[cell] for cell in remaining]
-    return current, decisions
+    return current, fill_decisions + abstains

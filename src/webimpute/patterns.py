@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
@@ -85,16 +86,13 @@ def context_supports(
 ) -> Counter:
     """Raw support counts: (context tokens, direction) -> co-occurrence count."""
     a1, a2 = attr_pair
-    complete = [
-        r
-        for r in range(len(table.rows))
-        if table.cell(r, a1) is not MISSING and table.cell(r, a2) is not MISSING
-    ]
+    i1, i2 = table.column_index(a1), table.column_index(a2)
+    rows = (r for r in table.rows if r[i1] is not MISSING and r[i2] is not MISSING)
+    complete = [(r[i1], r[i2]) for r in islice(rows, sample)]
     if not complete:
         raise MiningError(f"no mining evidence: no tuple complete on ({a1}, {a2})")
     supports: Counter = Counter()
-    for r in complete[:sample]:
-        v1, v2 = table.cell(r, a1), table.cell(r, a2)
+    for v1, v2 in complete:
         seq1, seq2 = tokenize(v1), tokenize(v2)
         if not seq1 or not seq2:
             continue  # a value with no tokens never co-occurs: spare the query

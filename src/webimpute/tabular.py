@@ -2,10 +2,13 @@
 
 Tables are loaded from RFC-4180-style CSV with a header row.  An empty CSV
 field becomes the in-memory :data:`MISSING` marker; every other cell is kept
-byte-exact.  Tables are treated as immutable after construction: all
-"mutation" happens by building a new table (see :meth:`Table.with_cell`,
-:meth:`Table.with_cells`, which applies many updates with one copy, and
-:func:`mask_random`), which makes them safe to share across threads.
+byte-exact.  Tables are treated as immutable after construction, which makes
+them safe to share across threads: no row list is ever written in place.  All
+"mutation" happens by deriving a new table (see :meth:`Table.with_cell`,
+:meth:`Table.with_cells` and :func:`mask_random`), which copies only the rows
+it writes and shares every other row list with its source, so deriving costs
+what changes, not the table.  A table lists its missing cells once, the first
+time it is asked.
 
 Every file the package reads goes through :func:`read_text`, so a file that
 is not UTF-8 is an error naming it; every JSON file it writes is laid out by
@@ -21,6 +24,7 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
@@ -57,6 +61,9 @@ def check_ratio(name: str, value: object) -> None:
 class Table:
     """An in-memory relational table of string cells.
 
+    A row list is never written in place once it is in a table, so tables
+    derived by :meth:`with_cells` share the rows they do not write.
+
     Attributes:
         name: identifier for reports (usually the source file stem).
         columns: ordered, unique, non-empty attribute names.
@@ -72,11 +79,10 @@ class Table:
             raise TableError("column names must be non-empty")
         if len(set(self.columns)) != len(self.columns):
             raise TableError("column names must be unique")
-        for i, row in enumerate(self.rows):
-            if len(row) != len(self.columns):
-                raise TableError(
-                    f"row {i + 1} has {len(row)} cells, expected {len(self.columns)}"
-                )
+        width = len(self.columns)
+        if set(map(len, self.rows)) - {width}:
+            i, row = next((i, r) for i, r in enumerate(self.rows) if len(r) != width)
+            raise TableError(f"row {i + 1} has {len(row)} cells, expected {width}")
         self._index = {c: i for i, c in enumerate(self.columns)}
 
     def column_index(self, attr: str) -> int:
@@ -93,18 +99,31 @@ class Table:
         return self.with_cells([(row, attr, value)])
 
     def with_cells(self, updates: Iterable[tuple[int, str, Cell]]) -> "Table":
-        """A new table with each (row, attr, value) update applied in order."""
-        rows = [list(r) for r in self.rows]
+        """A new table with each (row, attr, value) update applied in order.
+
+        A row is copied the first time an update writes to it; every row no
+        update writes is the same list object as in this table.
+        """
+        source = self.rows
+        rows = list(source)
         for row, attr, value in updates:
+            if rows[row] is source[row]:
+                rows[row] = list(rows[row])
             rows[row][self.column_index(attr)] = value
         return Table(self.name, list(self.columns), rows)
 
     def missing_cells(self) -> Iterator[tuple[int, str]]:
-        """(row, attr) pairs of missing cells, in row-major order."""
-        for r, row in enumerate(self.rows):
-            for c, value in zip(self.columns, row):
-                if value is MISSING:
-                    yield r, c
+        """(row, attr) pairs of missing cells, in row-major order.
+
+        The table scans its rows once, the first time it is asked; a table
+        derived from it is a new object and scans its own.
+        """
+        return iter(self._missing)
+
+    @cached_property
+    def _missing(self) -> list[tuple[int, str]]:
+        rows = enumerate(self.rows)
+        return [(r, c) for r, row in rows for c, v in zip(self.columns, row) if v is MISSING]
 
 
 @dataclass(frozen=True)
@@ -296,10 +315,5 @@ def mask_random(
 
     col_order = {c: i for i, c in enumerate(table.columns)}
     chosen.sort(key=lambda rc: (rc[0], col_order[rc[1]]))
-    rows = [list(r) for r in table.rows]
-    truth = []
-    for r, c in chosen:
-        value = rows[r][col_order[c]]
-        truth.append(MaskedCell(r, c, value))
-        rows[r][col_order[c]] = MISSING
-    return Table(table.name, list(table.columns), rows), truth
+    truth = [MaskedCell(r, c, table.rows[r][col_order[c]]) for r, c in chosen]
+    return table.with_cells((r, c, MISSING) for r, c in chosen), truth

@@ -13,6 +13,7 @@ was (quote state toggled per character in three separate scans).
 
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 
@@ -110,24 +111,49 @@ def bayes_oracle(table: Table, ruleset: RuleSet, row: int, attr: str, k: float):
 
 
 def internal_fills_oracle(table: Table, ruleset: RuleSet, k: float, max_rounds: int):
-    """Cells the internal pass fills, swept to a fixpoint with :func:`bayes_oracle`.
+    """Cells the internal pass fills, in fill order, swept to a fixpoint with
+    :func:`bayes_oracle`.
 
-    Every round decides each still-missing cell against the table as the
-    previous round left it, then applies the round's fills one at a time.
+    Every round decides each still-missing cell, in row-major order, against
+    a fresh table built from plain row lists as the previous round left them,
+    then writes the round's fills into those lists.  Neither the table's
+    missing-cell list nor :meth:`Table.with_cells` is used.
     """
+    columns, rows = with_cells_oracle(table, ())
     filled = {}
     for _ in range(max_rounds):
+        current = Table(table.name, list(columns), [list(r) for r in rows])
         fills = {}
-        for row, attr in table.missing_cells():
-            value = bayes_oracle(table, ruleset, row, attr, k)
+        for row, attr in missing_cells_oracle(columns, rows):
+            value = bayes_oracle(current, ruleset, row, attr, k)
             if value is not None:
                 fills[(row, attr)] = value
         if not fills:
             break
         for (row, attr), value in fills.items():
-            table = table.with_cell(row, attr, value)
+            rows[row][columns.index(attr)] = value
         filled.update(fills)
     return filled
+
+
+def with_cells_oracle(table: Table, updates):
+    """``(columns, rows)`` of ``table`` with each (row, attr, value) update
+    applied in order to a deep copy of every row."""
+    columns = list(table.columns)
+    rows = copy.deepcopy(table.rows)
+    for row, attr, value in updates:
+        rows[row][columns.index(attr)] = value
+    return columns, rows
+
+
+def missing_cells_oracle(columns, rows) -> list[tuple[int, str]]:
+    """(row, attr) of every missing cell, scanned row by row, column by column."""
+    return [
+        (r, columns[c])
+        for r in range(len(rows))
+        for c in range(len(columns))
+        if rows[r][c] is MISSING
+    ]
 
 
 def count_table_oracle(table: Table, attr: str, evidence_attrs, condition):

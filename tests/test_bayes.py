@@ -1,3 +1,4 @@
+import copy
 import random
 from collections import Counter
 
@@ -8,9 +9,11 @@ from oracles import (
     bayes_oracle,
     count_table_oracle,
     internal_fills_oracle,
+    missing_cells_oracle,
     random_bayes_case,
     random_count_case,
     random_count_table_case,
+    with_cells_oracle,
 )
 from webimpute import (
     MISSING,
@@ -471,11 +474,18 @@ def test_multi_round_fills_match_oracle_on_random_tables():
     later_round_fills = 0
     for _ in range(1000):
         table, ruleset, k = random_count_case(rng)
-        filled, decisions = impute_internal(table, build_dependency_graph(ruleset), k)
-        chosen = {(d.row, d.attr): d.chosen for d in decisions if d.chosen is not None}
+        snapshot = copy.deepcopy(table.rows)
         expected = internal_fills_oracle(table, ruleset, k, max_rounds=10)
+        filled, decisions = impute_internal(table, build_dependency_graph(ruleset), k)
+        assert table.rows == snapshot  # the caller's table is never written
+        chosen = {(d.row, d.attr): d.chosen for d in decisions if d.chosen is not None}
         assert chosen == expected
-        assert filled.rows == table.with_cells((r, a, v) for (r, a), v in expected.items()).rows
+        # fills in round order, then the cells left missing in row-major order
+        missing = missing_cells_oracle(table.columns, snapshot)
+        left = [cell for cell in missing if cell not in expected]
+        assert [(d.row, d.attr) for d in decisions] == [*expected, *left]
+        _, expected_rows = with_cells_oracle(table, [(r, a, v) for (r, a), v in expected.items()])
+        assert filled.rows == expected_rows
         later_round_fills += len(expected) > len(
             internal_fills_oracle(table, ruleset, k, max_rounds=1)
         )

@@ -1,3 +1,4 @@
+import copy
 import json
 from dataclasses import replace
 
@@ -317,6 +318,20 @@ def test_phase_two_queries_cells_in_row_major_order():
     _, report = impute(table, ruleset, RunConfig(), provider)
     assert [o.reason for o in report.outcomes] == ["no extraction"] * 4
     assert provider.queries == [("k1", "Z"), ("k1", "B"), ("k2", "Z"), ("k2", "B")]
+
+
+def test_nothing_filled_still_returns_a_new_table():
+    # no row is complete and the corpus is empty, so neither phase fills a cell
+    table = make_table(["K", "Z", "B"], [["k1", MISSING, MISSING], ["k2", MISSING, MISSING]])
+    ruleset = RuleSet(
+        parse_rules("r1: K -> Z\nr2: K -> B"), {("r1", "Z"): 1.0, ("r2", "B"): 1.0}
+    )
+    snapshot = copy.deepcopy(table.rows)
+    out, report = impute(table, ruleset, RunConfig(), LocalCorpusProvider([]))
+    assert [o.outcome for o in report.outcomes] == [ABSTAINED] * 4
+    assert out is not table
+    assert out.rows == snapshot
+    assert table.rows == snapshot
 
 
 def test_config_validation():

@@ -1,7 +1,10 @@
+import copy
 import random
+from collections import Counter
 
 import pytest
 
+from oracles import missing_cells_oracle, with_cells_oracle
 from webimpute import MISSING, MaskSpec, Table, load_table, mask_random, write_table
 from webimpute.rules import parse_rules
 from webimpute.tabular import (
@@ -101,8 +104,9 @@ class TestLoad:
         (["a", ""], [], "column names must be non-empty"),
         (["a", "b", "a"], [], "column names must be unique"),
         (["a", "b"], [["1", "2"], ["3"]], "row 2 has 1 cells, expected 2"),
+        (["a", "b"], [["1", "2"], ["3", "4"], ["5"], ["6", "7", "8"]], "row 3 has 1 cells"),
     ],
-    ids=["empty-name", "duplicate-name", "ragged-row"],
+    ids=["empty-name", "duplicate-name", "ragged-row", "ragged-later-row"],
 )
 def test_table_constructor_rejects_bad_shape(columns, rows, message):
     with pytest.raises(TableError, match=message):
@@ -127,6 +131,54 @@ def test_with_cells_equals_folded_with_cell():
         assert batched.columns == folded.columns
         assert batched.rows == folded.rows
         assert table.rows == rows  # the source table is untouched
+
+
+def test_with_cells_shares_unwritten_rows_and_matches_oracle():
+    rng = random.Random(2110)
+    seen = Counter()
+    for _ in range(600):
+        columns = ["a", "b", "c", "d"][: rng.randint(1, 4)]
+        n_rows = rng.randint(0, 6)
+        rows = [
+            [rng.choice([MISSING, f"{c}{rng.randint(0, 2)}"]) for c in columns]
+            for _ in range(n_rows)
+        ]
+        table = make_table(columns, rows)
+        listed_first = rng.random() < 0.5
+        if listed_first:  # the source lists its missing cells before deriving
+            list(table.missing_cells())
+        snapshot = copy.deepcopy(table.rows)
+        updates = [
+            (rng.randrange(-n_rows, n_rows), rng.choice(columns), rng.choice([MISSING, "x", "y"]))
+            for _ in range(rng.choice([0, 1, 3, 8]) if n_rows else 0)
+        ]
+        expected_columns, expected_rows = with_cells_oracle(table, updates)
+        derived = table.with_cells(iter(updates))
+        assert derived.columns == expected_columns
+        assert derived.rows == expected_rows
+        written = {row % n_rows for row, _, _ in updates}
+        for r in range(n_rows):
+            assert (derived.rows[r] is table.rows[r]) == (r not in written)
+        assert table.rows == snapshot
+        assert list(table.missing_cells()) == missing_cells_oracle(columns, snapshot)
+        assert list(derived.missing_cells()) == missing_cells_oracle(columns, expected_rows)
+        cells = [(row % n_rows, attr) for row, attr, _ in updates]
+        seen["empty updates"] += not updates
+        seen["one cell written twice"] += len(set(cells)) < len(cells)
+        seen["one row written twice"] += len({r for r, _ in set(cells)}) < len(set(cells))
+        seen["negative row"] += any(row < 0 for row, _, _ in updates)
+        seen["missing written"] += any(value is MISSING for _, _, value in updates)
+        seen["listed before deriving"] += listed_first and bool(updates)
+    assert min(seen.values()) >= 20 and len(seen) == 6, seen
+
+
+def test_with_cells_rejects_a_bad_update():
+    table = make_table(["a", "b"], [["1", "2"], ["3", "4"]])
+    with pytest.raises(TableError, match="unknown attribute 'z'"):
+        table.with_cells([(0, "a", "x"), (1, "z", "y")])
+    with pytest.raises(IndexError):
+        table.with_cells([(2, "a", "x")])
+    assert table.rows == [["1", "2"], ["3", "4"]]
 
 
 def test_round_trip_is_field_equivalent(nba_table, tmp_path):
