@@ -148,7 +148,7 @@ class LocalCorpusProvider:
             if self._documents is None:
                 documents = [Document(id_, tokenize(text)) for id_, text in sorted(self.docs)]
                 for i, doc in enumerate(documents):
-                    for token in dict.fromkeys(doc.tokens):
+                    for token in set(doc.tokens):
                         self._postings.setdefault(token, []).append(i)
                 self._documents = documents
             return self._documents

@@ -272,8 +272,8 @@ def mask_random(
         raise TableError(f"protected attributes not in table: {sorted(unknown)}")
     maskable_cols = [c for c in table.columns if c not in spec.protected_attrs]
     positions = [(r, c) for r in range(len(table.rows)) for c in maskable_cols]
-    for r, c in positions:
-        if table.cell(r, c) is MISSING:
+    for r, c in table.missing_cells():
+        if c not in spec.protected_attrs:
             raise TableError(
                 f"cannot mask: cell (row {r}, {c}) is already missing"
             )

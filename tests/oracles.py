@@ -4,7 +4,8 @@ These deliberately avoid the library's internal machinery: frequencies are
 counted with plain loops, the best evidence subgraph is found by
 enumerating every assignment of rules to missing attributes, the ranked
 subgraph list comes from listing every feasible subgraph, and retrieval
-scans every document for every keyword, and maximal patterns come from
+scans every document for every keyword, tokenized by the ``\\w+`` regex
+alone with no ASCII fast path, and maximal patterns come from
 comparing every pair of qualifying contexts.  They exist so the real
 implementations can be checked against something that cannot share their
 bugs.  Rule confidence is the plurality ratio counted group by group.  The rule-DSL oracle is the earlier character-loop parser, kept as it
@@ -16,13 +17,13 @@ from __future__ import annotations
 import copy
 import itertools
 import random
+import re
 
 from webimpute import Document, LocalCorpusProvider, Pattern, Query, Rule, RuleSet, Table
 from webimpute.keywords import SinkGraph
 from webimpute.patterns import FORWARD
 from webimpute.rules import RuleParseError
 from webimpute.tabular import MISSING
-from webimpute.textutil import tokenize
 
 
 class CountingProvider:
@@ -217,6 +218,11 @@ def confidence_oracle(rule: Rule, table: Table) -> dict[str, float]:
     return result
 
 
+def tokenize_oracle(text: str) -> tuple[str, ...]:
+    """Case-folded ``\\w+`` runs, by the regex alone on every input."""
+    return tuple(map(str.casefold, re.findall(r"\w+", text)))
+
+
 def scan_ranking_oracle(docs, q: Query) -> list[tuple[int, Document]]:
     """``(score, document)`` for every matching document, best first, by a scan."""
 
@@ -226,18 +232,18 @@ def scan_ranking_oracle(docs, q: Query) -> list[tuple[int, Document]]:
 
     needles = []
     for kw in q.keywords:
-        seq = tokenize(kw)
+        seq = tokenize_oracle(kw)
         if seq and seq not in needles:
             needles.append(seq)
     scored = []
     for doc_id, text in docs:
-        tokens = tokenize(text)
+        tokens = tokenize_oracle(text)
         score = sum(1 for n in needles if contains(tokens, n))
         if score > 0:
             scored.append((-score, doc_id, text))
     scored.sort()
     return [
-        (-negated, Document(doc_id, tokenize(text))) for negated, doc_id, text in scored
+        (-negated, Document(doc_id, tokenize_oracle(text))) for negated, doc_id, text in scored
     ]
 
 
@@ -248,7 +254,13 @@ def scan_query_oracle(docs, q: Query, page_size: int) -> list[Document]:
 
 def random_corpus_case(rng: random.Random):
     """A small corpus with duplicate ids and empty texts, and a few queries."""
-    vocab = ["alpha", "beta", "gamma", "delta", "Alpha", "eps"]
+    # the non-ASCII words take the regex tokenize path: "Straße" and
+    # "STRASSE" fold to one token, "İstanbul" folds to a dotted i, and the
+    # decomposed "cafe\u0301" tokenizes to "cafe" alone
+    vocab = [
+        "alpha", "beta", "gamma", "delta", "Alpha", "eps",
+        "Straße", "STRASSE", "İstanbul", "café", "cafe\u0301",
+    ]
     docs = []
     for _ in range(rng.randint(0, 25)):
         doc_id = f"d{rng.randint(0, 9)}"  # ids repeat

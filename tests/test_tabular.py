@@ -272,6 +272,21 @@ class TestMask:
         with pytest.raises(TableError, match="already missing"):
             mask_random(table, MaskSpec(ratio=0.5, seed=1))
 
+    def test_already_missing_names_the_first_unprotected_cell(self):
+        # row-major: the missing protected cell in row 0 is skipped, and of
+        # row 2's two holes the earlier column is named
+        table = make_table(
+            ["ID", "X", "Y"],
+            [[MISSING, "x0", "y0"], ["b", "x1", "y1"], ["c", MISSING, MISSING]],
+        )
+        spec = MaskSpec(ratio=0.5, seed=1, protected_attrs={"ID"})
+        with pytest.raises(TableError) as info:
+            mask_random(table, spec)
+        assert str(info.value) == "cannot mask: cell (row 2, X) is already missing"
+        protected_only = make_table(["ID", "X", "Y"], [[MISSING, "x0", "y0"], ["b", "x1", "y1"]])
+        _, truth = mask_random(protected_only, spec)
+        assert len(truth) == 2
+
     def test_rules_keep_an_lhs_attribute(self):
         rules = parse_rules("r1: B -> A")
         table = make_table(
