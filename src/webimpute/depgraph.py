@@ -18,18 +18,14 @@ The graph may contain cycles; nothing downstream assumes acyclicity.
 Both imputation phases take from here the rule applications into each
 attribute (:attr:`DependencyGraph.applications`) and which form logic
 nodes; edge weights lie in [0, 1] because ``RuleSet`` rejects any other
-confidence.  The keyword phase asks :meth:`DependencyGraph.feasible` which
-applications can supply a cell.  The internal phase ranks each attribute's
-applications once and tests a row's condition and determinants itself,
-which picks the same application as the best feasible one.
+confidence.  Each phase tests a row's conditions and determinants itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rules import RuleSet, conditions_hold
-from .tabular import MISSING, Table
+from .rules import RuleSet
 
 ATTRIBUTE = "attribute"
 LOGIC = "logic"
@@ -81,32 +77,6 @@ class DependencyGraph:
     edges: list[GraphEdge]
     applications: dict[str, list[RuleApplication]]  # target -> in declaration order
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def upstream(self, sink: str) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
-        """Attributes reachable backwards from ``sink`` through determinants,
-        ``sink`` first, and the distinct conditions of the applications into
-        them: all of a row that the feasible applications reaching ``sink``
-        depend on."""
-        attrs = [sink]
-        conditions: dict[tuple[str, str], None] = {}  # an insertion-ordered set
-        for attr in attrs:  # grows as it is walked
-            for app in self.applications.get(attr, ()):
-                conditions.update(dict.fromkeys(app.conditions))
-                for det in app.determinants:
-                    if det not in attrs:
-                        attrs.append(det)
-        return tuple(attrs), tuple(conditions)
-
-    def feasible(
-        self, table: Table, row: int, attr: str
-    ) -> list[tuple[RuleApplication, list[str]]]:
-        """Applications into ``attr`` whose conditions hold in ``row``, in
-        declaration order, each with its determinants missing in the row."""
-        return [
-            (app, [d for d in app.determinants if table.cell(row, d) is MISSING])
-            for app in self.applications.get(attr, ())
-            if conditions_hold(table, row, app.conditions)
-        ]
 
 
 def build_dependency_graph(ruleset: RuleSet) -> DependencyGraph:

@@ -18,18 +18,18 @@ Montanari 1973, Nilsson 1980), instead of by listing them all.  ``RuleSet``
 rejects any confidence outside [0, 1], so the weight product of a partial
 subgraph bounds every completion's weight from above; the attributes that
 every expansion of each pending attribute adds bound a completion's node
-count and attribute set from below.  The dependency graph decides which
-applications can supply an attribute (``DependencyGraph.feasible``, memoised
-per call) and which form logic nodes (``RuleApplication.junction``).
+count and attribute set from below.  Logic nodes are the junction
+applications (``RuleApplication.junction``).
 
-The search reads a row only through which attributes upstream of the sink
-are missing and which condition literals hold (``DependencyGraph.upstream``);
-the values themselves become only ``source_values``.  So its ranked result
-is memoised on the graph (memo functions, Michie 1968) under the key
-``(sink, limit, missing?, holds?)``: one missing flag per upstream attribute
-and one holds flag per condition of the applications into them.  A later
-cell with the same key runs no search: it takes the stored applications,
-weights, sources, literals and ranks and reads only its own source values.
+The search reads a row only through its signature: which attributes upstream
+of the sink are missing and which conditions of the applications into them
+hold (``_upstream``).  It is handed that signature and nothing else, so it
+never sees a value: a determinant outside the missing set is a source, and an
+application applies when its conditions are in the holding set.  Its ranked
+plans are memoised on the graph (memo functions, Michie 1968) under the key
+``(limit, missing, holds)`` per sink, which is the whole input of the search.
+Every cell takes its plans from that memo, searching only on a new key, and
+reads its own source values into the graphs.
 
 ``select_optimal`` keeps the first (best) graph only when its weight reaches
 the group threshold; ``render_keywords`` turns a graph into an ordered keyword
@@ -42,7 +42,7 @@ from __future__ import annotations
 from bisect import insort
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import itemgetter
 
 from .bayes import ABSTAIN
 from .depgraph import DependencyGraph, RuleApplication
@@ -55,9 +55,8 @@ class SinkGraph:
 
     ``applications`` maps each derived attribute (the sink and every missing
     intermediate) to the rule application supplying it.  ``source_values``
-    holds the tuple's cells of ``source_attrs``.  ``rank``, the sort key
-    ``(-weight, node count, attrs)``, is computed once per graph unless the
-    search memo passes the rank of an equal-shaped graph it built before.
+    holds the tuple's cells of ``source_attrs``.  ``rank`` is the sort key
+    ``(-weight, node count, attrs)``.
     """
 
     sink: str
@@ -66,12 +65,7 @@ class SinkGraph:
     source_attrs: tuple[str, ...]
     source_values: tuple[str, ...]
     condition_literals: tuple[str, ...]
-    rank: tuple[float, int, tuple[str, ...]] = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.rank is None:
-            shape = _shape(self.sink, self.applications)
-            object.__setattr__(self, "rank", (-self.weight, *shape))
+    rank: tuple[float, int, tuple[str, ...]] = field(repr=False, compare=False)
 
     @property
     def attrs(self) -> tuple[str, ...]:
@@ -97,7 +91,6 @@ def _shape(
     return len(labels) + logic + len(conditions), tuple(sorted(labels))
 
 
-_RANK = attrgetter("rank")
 _Option = tuple[RuleApplication, list[str]]  # an application and its missing determinants
 
 
@@ -127,53 +120,73 @@ def enumerate_single_sink_graphs(
     from below.  A completion that ties the last held graph on the whole key
     comes later and loses the tie.
 
-    The result is memoised on ``graph`` per row signature (see the module
-    docstring); a hit builds each graph with this row's source values.
+    The search is memoised on ``graph`` per row signature (see the module
+    docstring); each graph is built with this row's source values.
     """
     if table.cell(row, sink) is not MISSING:
         raise ValueError(f"cell (row {row}, {sink}) is not missing")
     check_count("limit", limit)
     upstream = graph._plans.get(sink)
     if upstream is None:
-        upstream = graph._plans[sink] = (*graph.upstream(sink), {})
+        upstream = graph._plans[sink] = (*_upstream(graph, sink), {})
     attrs, conditions, plans = upstream
-    key = (
-        limit,
-        tuple(table.cell(row, a) is MISSING for a in attrs),
-        tuple(table.cell(row, a) == literal for a, literal in conditions),
-    )
-    plan = plans.get(key)
-    if plan is None:
-        ranked = _search(graph, table, row, sink, limit)
-        plans[key] = [
-            (g.applications, g.weight, g.source_attrs, g.condition_literals, g.rank)
-            for g in ranked
-        ]
-        return ranked
+    missing = frozenset(a for a in attrs if table.cell(row, a) is MISSING)
+    holds = frozenset((a, lit) for a, lit in conditions if table.cell(row, a) == lit)
+    key = (limit, missing, holds)
+    ranked = plans.get(key)
+    if ranked is None:
+        ranked = plans[key] = _search(graph, sink, limit, missing, holds)
     return [
         SinkGraph(
             sink, apps, weight, sources, tuple(table.cell(row, a) for a in sources), literals, rank
         )
-        for apps, weight, sources, literals, rank in plan
+        for rank, apps, weight, sources, literals in ranked
     ]
 
 
+def _upstream(
+    graph: DependencyGraph, sink: str
+) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
+    """Attributes reachable backwards from ``sink`` through determinants,
+    ``sink`` first, and the distinct conditions of the applications into
+    them: all of a row that the search for ``sink`` reads."""
+    attrs = [sink]
+    conditions: dict[tuple[str, str], None] = {}  # an insertion-ordered set
+    for attr in attrs:  # grows as it is walked
+        for app in graph.applications.get(attr, ()):
+            conditions.update(dict.fromkeys(app.conditions))
+            for det in app.determinants:
+                if det not in attrs:
+                    attrs.append(det)
+    return tuple(attrs), tuple(conditions)
+
+
 def _search(
-    graph: DependencyGraph, table: Table, row: int, sink: str, limit: int
-) -> list[SinkGraph]:
-    """The branch and bound of ``enumerate_single_sink_graphs``, unmemoised."""
+    graph: DependencyGraph, sink: str, limit: int, missing: frozenset, holds: frozenset
+) -> list[tuple]:
+    """The branch and bound of ``enumerate_single_sink_graphs``, unmemoised.
+
+    ``missing`` holds the attributes upstream of ``sink`` that are missing in
+    the row, ``holds`` the upstream conditions that hold in it.  Returns the
+    ranked plans (see ``_finalize``).
+    """
     options: dict[str, list[_Option]] = {}
 
     def usable(attr: str) -> list[_Option]:
-        """Feasible applications into ``attr``, each with its missing determinants."""
+        """Applications into ``attr`` whose conditions hold, in declaration
+        order, each with its missing determinants."""
         found = options.get(attr)
         if found is None:
-            found = options[attr] = graph.feasible(table, row, attr)
+            found = options[attr] = [
+                (app, [d for d in app.determinants if d in missing])
+                for app in graph.applications.get(attr, ())
+                if holds.issuperset(app.conditions)
+            ]
         return found
 
     chosen: dict[str, RuleApplication] = {}  # target -> app, in depth-first preorder
     expands: dict[str, list[str]] = {}  # target -> its app's missing determinants
-    ranked: list[SinkGraph] = []  # the best ``limit`` so far, in rank order
+    ranked: list[tuple] = []  # the best ``limit`` plans so far, in rank order
     closures: dict = {}  # built only once a branch needs bounding
 
     def visit(todo, weight: float) -> None:
@@ -190,21 +203,20 @@ def _search(
                 return
             todo = _push(rest, attr, path, expands[attr])
         if todo is None:
-            g = _finalize(table, row, sink, chosen, weight)
-            insort(ranked, g, key=_RANK)
+            insort(ranked, _finalize(sink, chosen, weight, missing), key=itemgetter(0))
             del ranked[limit:]
             return
-        for app, missing in usable(attr):
+        for app, pending in usable(attr):
             if not path.isdisjoint(app.determinants):
                 continue
             w = weight * app.weight
             if w == 0.0:
                 continue
             chosen[attr] = app
-            expands[attr] = missing
-            child = _push(rest, attr, path, missing)
+            expands[attr] = pending
+            child = _push(rest, attr, path, pending)
             if len(ranked) < limit or not _beaten(
-                ranked[-1].rank, w, sink, chosen, child, usable, closures
+                ranked[-1][0], w, sink, chosen, child, usable, closures
             ):
                 visit(child, w)
             del chosen[attr]
@@ -284,38 +296,26 @@ def _closure(
 
 
 def _finalize(
-    table: Table, row: int, sink: str, apps: dict[str, RuleApplication], weight: float
-) -> SinkGraph:
-    """The graph choosing ``apps``, of weight ``weight``, sources in BFS order."""
+    sink: str, apps: dict[str, RuleApplication], weight: float, missing: frozenset[str]
+) -> tuple:
+    """The plan of the graph choosing ``apps``, of weight ``weight``:
+    ``(rank, applications, weight, source_attrs, condition_literals)``, sources
+    and literals in BFS order.  A determinant not in ``missing`` is a source."""
     sources: list[str] = []
-    values: list[str] = []
     literals: list[str] = []
     queue = [sink]
     seen = {sink}
     while queue:
-        attr = queue.pop(0)
-        app = apps.get(attr)
+        app = apps.get(queue.pop(0))
         if app is None:
             continue
         for det in app.determinants:
-            if det in seen:
-                continue
-            seen.add(det)
-            value = table.cell(row, det)
-            if value is not MISSING:
-                sources.append(det)
-                values.append(value)
-            else:
-                queue.append(det)
+            if det not in seen:
+                seen.add(det)
+                (queue if det in missing else sources).append(det)
         literals.extend(literal for _, literal in app.conditions)
-    return SinkGraph(
-        sink=sink,
-        applications=tuple(sorted(apps.items())),
-        weight=weight,
-        source_attrs=tuple(sources),
-        source_values=tuple(values),
-        condition_literals=tuple(literals),
-    )
+    rank = (-weight, *_shape(sink, apps.items()))
+    return rank, tuple(sorted(apps.items())), weight, tuple(sources), tuple(literals)
 
 
 def render_keywords(graph: SinkGraph) -> list[str]:

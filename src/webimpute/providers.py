@@ -4,10 +4,10 @@ A result is a list of ``Document(id, tokens)``, best first: list order is
 the only statement of rank, and no provider returns a score; the provider
 is the only code that tokenizes a page.  :class:`LocalCorpusProvider` serves
 a JSON-Lines corpus deterministically and is what tests and experiments run
-against; :class:`HttpProvider` is a thin live HTTP client (one GET per page,
-tags stripped, no engine-specific parsing) whose failures surface as
-:class:`ProviderError` so a pipeline can record the cell as unfilled instead
-of crashing.
+against; :class:`HttpProvider` is a thin live HTTP client (one GET per
+distinct page URL, tags stripped, no engine-specific parsing) whose failures
+surface as :class:`ProviderError` so a pipeline can record the cell as
+unfilled instead of crashing.
 
 The local provider keeps the top ``k = pages * page_size`` documents without
 scoring every match (MaxScore-style pruning: Turtle and Flood, IP&M 1995).
@@ -202,8 +202,10 @@ def strip_tags(markup: str) -> str:
 class HttpProvider:
     """Generic live search over a URL template with a ``{query}`` placeholder.
 
-    One request per page (an optional ``{page}`` placeholder receives the
-    1-based page number); each tokenized response page becomes one document.
+    With a ``{page}`` placeholder, one request per page, the placeholder
+    receiving the 1-based page number; without one, every page would be the
+    same URL, so a query makes one request.  Each tokenized response page
+    becomes one document.
     Intentionally engine-agnostic: no result parsing beyond tag stripping.
     Consecutive requests, within a query or across queries, start at least
     ``delay_ms`` after the previous one finished.
@@ -231,11 +233,11 @@ class HttpProvider:
 
     def query(self, q: Query) -> list[Document]:
         encoded = urllib.parse.quote_plus(" ".join(q.keywords))
+        template = self.url_template.replace("{query}", encoded)
+        pages = q.pages if "{page}" in self.url_template else 1
         out = []
-        for page in range(1, q.pages + 1):
-            url = self.url_template.replace("{query}", encoded).replace(
-                "{page}", str(page)
-            )
+        for page in range(1, pages + 1):
+            url = template.replace("{page}", str(page))
             request = urllib.request.Request(url, headers={"User-Agent": self.user_agent})
             with self._lock:
                 if self._last_request is not None:

@@ -91,11 +91,6 @@ class Rule:
         return set(self.lhs) | set(self.rhs) | set(self.condition_attrs)
 
 
-def conditions_hold(table: Table, row: int, condition: tuple[tuple[str, str], ...]) -> bool:
-    """True when the row satisfies every ``(attr, literal)`` equality (values present)."""
-    return all(table.cell(row, a) == lit for a, lit in condition)
-
-
 def condition_rows(table: Table, condition: tuple[tuple[str, str], ...]) -> list[list]:
     """The rows that satisfy every ``(attr, literal)`` equality (values present)."""
     if not condition:

@@ -494,13 +494,18 @@ def sink_graphs_oracle(graph, table: Table, row: int, sink: str):
 
 def _sink_graph_key(g: SinkGraph):
     """Heaviest first, then fewest attribute/logic/condition nodes, then the
-    smallest sorted attribute tuple; counted here, not by ``SinkGraph``."""
-    labels, logic, conditions = {g.sink}, 0, set()
-    for _, app in g.applications:
+    smallest sorted attribute tuple; counted here, not by ``keywords``."""
+    return _rank(g.sink, g.applications, g.weight)
+
+
+def _rank(sink: str, applications, weight: float):
+    """``_sink_graph_key`` of the graph choosing ``applications``."""
+    labels, logic, conditions = {sink}, 0, set()
+    for _, app in applications:
         labels.update(app.determinants)
         logic += len(app.determinants) + len(app.conditions) >= 2
         conditions.update(app.conditions)
-    return (-g.weight, len(labels) + logic + len(conditions), tuple(sorted(labels)))
+    return (-weight, len(labels) + logic + len(conditions), tuple(sorted(labels)))
 
 
 def _sink_graph(table: Table, row: int, sink: str, apps) -> SinkGraph:
@@ -523,14 +528,33 @@ def _sink_graph(table: Table, row: int, sink: str, apps) -> SinkGraph:
     weight = 1.0
     for w in edge_weights.values():
         weight *= w
+    applications = tuple(sorted(apps.items()))
     return SinkGraph(
         sink,
-        tuple(sorted(apps.items())),
+        applications,
         weight,
         tuple(sources),
         tuple(table.cell(row, a) for a in sources),
         tuple(literals),
+        _rank(sink, applications, weight),
     )
+
+
+def feasible_oracle(graph, table: Table, row: int, attr: str):
+    """Applications into ``attr`` whose conditions hold in ``row``, in
+    declaration order, each with its determinants missing in the row."""
+    expected = []
+    for app in graph.applications.get(attr, ()):
+        if not conditions_hold(table, row, app.conditions):
+            continue
+        missing = [d for d in app.determinants if table.cell(row, d) is MISSING]
+        expected.append((app, missing))
+    return expected
+
+
+def conditions_hold(table: Table, row: int, condition) -> bool:
+    """Whether ``row`` has every ``(attr, literal)`` of ``condition``, cell by cell."""
+    return all(table.cell(row, a) == literal for a, literal in condition)
 
 
 def random_bayes_case(rng: random.Random):

@@ -7,7 +7,9 @@ import pytest
 from oracles import (
     bayes_joints_oracle,
     bayes_oracle,
+    conditions_hold,
     count_table_oracle,
+    feasible_oracle,
     internal_fills_oracle,
     missing_cells_oracle,
     random_bayes_case,
@@ -24,7 +26,7 @@ from webimpute import (
     parse_rules,
 )
 from webimpute.bayes import BayesDecision, CandidateScore, _FrequencyCounts
-from webimpute.rules import conditions_hold, parse_rules_file
+from webimpute.rules import parse_rules_file
 from webimpute.synth import write_university_fixture
 from webimpute.tabular import MaskSpec, load_table, mask_random
 
@@ -447,7 +449,7 @@ def test_application_choice_is_the_best_feasible_application():
         graph = build_dependency_graph(RuleSet(rules, ruleset.confidences))
         _, decisions = impute_internal(table, graph, k, max_rounds=1)
         for d in decisions:
-            feasible = graph.feasible(table, d.row, d.attr)
+            feasible = feasible_oracle(graph, table, d.row, d.attr)
             usable = [a for a, missing in feasible if not missing]
             best = min(usable, key=rank, default=None)
             assert d.rule_id == (best.rule_id if best else None)

@@ -1,10 +1,7 @@
 import random
 
-from oracles import random_bayes_case, random_ranked_sink_case
-
 from webimpute import RuleSet, Table, build_dependency_graph, export_dot, parse_rules
 from webimpute.depgraph import ATTRIBUTE, CONDITION, LOGIC
-from webimpute.tabular import MISSING
 
 NBA_DOT = """\
 digraph sdg {
@@ -158,32 +155,3 @@ def test_logic_nodes_are_the_junction_applications(nba_graph):
         if app.junction
     }
     assert junctions == set(labels(nba_graph, LOGIC)) == {"f2", "f3", "f6"}
-
-
-def _feasible_by_brute_force(graph, table, row, attr):
-    expected = []
-    for app in graph.applications.get(attr, ()):
-        if any(table.cell(row, a) != literal for a, literal in app.conditions):
-            continue
-        missing = [d for d in app.determinants if table.cell(row, d) is MISSING]
-        expected.append((app, missing))
-    return expected
-
-
-def test_feasible_matches_brute_force_on_random_cases():
-    rng = random.Random(11)
-    seen = {"condition fails": 0, "determinant missing": 0, "all present": 0}
-    for _ in range(300):
-        for table, ruleset in (
-            random_ranked_sink_case(rng)[:2],
-            random_bayes_case(rng)[:2],
-        ):
-            graph = build_dependency_graph(ruleset)
-            for row in range(len(table.rows)):
-                for attr in table.columns:
-                    found = graph.feasible(table, row, attr)
-                    assert found == _feasible_by_brute_force(graph, table, row, attr)
-                    seen["condition fails"] += len(graph.applications.get(attr, ())) - len(found)
-                    for _, missing in found:
-                        seen["determinant missing" if missing else "all present"] += 1
-    assert min(seen.values()) >= 50, seen

@@ -13,7 +13,6 @@ from oracles import (
 )
 from webimpute import (
     MISSING,
-    DependencyGraph,
     RuleSet,
     Table,
     build_dependency_graph,
@@ -251,9 +250,7 @@ def test_warm_signature_runs_no_search(monkeypatch):
     def no_search(*args):
         raise AssertionError("search ran on a warm signature")
 
-    monkeypatch.setattr(DependencyGraph, "feasible", no_search)
-    monkeypatch.setattr(keywords, "_finalize", no_search)
-    monkeypatch.setattr(keywords, "_shape", no_search)
+    monkeypatch.setattr(keywords, "_search", no_search)
     for row in (1, 2):
         got = enumerate_single_sink_graphs(graph, table, row, "C")
         assert got == expected[row]

@@ -281,16 +281,27 @@ class TestHttpProvider:
             HttpProvider(template, user_agent=5)
 
     def test_pages_fetched_and_tags_stripped(self, http_server):
-        provider = HttpProvider(
-            f"http://127.0.0.1:{http_server}/?q={{query}}&p={{page}}", delay_ms=0
-        )
+        port, _ = http_server
+        provider = HttpProvider(f"http://127.0.0.1:{port}/?q={{query}}&p={{page}}", delay_ms=0)
         docs = provider.query(Query(("alpha",), pages=2))
         assert len(docs) == 2
         assert docs[0].tokens == docs[1].tokens == ("alpha", "beta")  # no html, body, p
         assert "p=1" in docs[0].id and "p=2" in docs[1].id
 
+    def test_pages_without_a_page_placeholder_make_one_request(self, http_server):
+        # every page would be the same URL: one web access, one document
+        port, requests = http_server
+        paged = HttpProvider(f"http://127.0.0.1:{port}/?q={{query}}&p={{page}}", delay_ms=0)
+        assert len(paged.query(Query(("alpha",), pages=3))) == 3
+        assert requests == ["/?q=alpha&p=1", "/?q=alpha&p=2", "/?q=alpha&p=3"]
+        requests.clear()
+        single = HttpProvider(f"http://127.0.0.1:{port}/?q={{query}}", delay_ms=0)
+        (doc,) = single.query(Query(("alpha",), pages=3))
+        assert requests == ["/?q=alpha"] and doc.id.endswith("/?q=alpha")
+
     def test_delay_applies_between_queries(self, http_server):
-        provider = HttpProvider(f"http://127.0.0.1:{http_server}/?q={{query}}", delay_ms=150)
+        port, _ = http_server
+        provider = HttpProvider(f"http://127.0.0.1:{port}/?q={{query}}", delay_ms=150)
         start = time.monotonic()
         provider.query(Query(("alpha",)))
         provider.query(Query(("beta",)))
@@ -299,10 +310,13 @@ class TestHttpProvider:
 
 @pytest.fixture
 def http_server():
-    """A local HTTP server answering every GET with one small page; yields its port."""
+    """A local HTTP server answering every GET with one small page; yields its
+    port and the list of the paths it was sent, in order."""
+    requests = []
 
     class Handler(http.server.BaseHTTPRequestHandler):
         def do_GET(self):
+            requests.append(self.path)
             body = b"<html><body><p>alpha beta</p></body></html>"
             self.send_response(200)
             self.send_header("Content-Length", str(len(body)))
@@ -316,7 +330,7 @@ def http_server():
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        yield server.server_address[1]
+        yield server.server_address[1], requests
     finally:
         server.shutdown()
         server.server_close()

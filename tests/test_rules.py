@@ -9,6 +9,7 @@ from oracles import (
     _find_unquoted,
     _split_top,
     _strip_comment,
+    conditions_hold,
     confidence_oracle,
     parse_rules_oracle,
     random_count_case,
@@ -16,7 +17,7 @@ from oracles import (
 )
 
 from webimpute import Rule, RuleSet, Table, estimate_confidence, parse_rules
-from webimpute.rules import RuleError, RuleParseError, conditions_hold
+from webimpute.rules import RuleError, RuleParseError
 from webimpute.tabular import MISSING
 
 
