@@ -221,7 +221,10 @@ def _search(
                 visit(child, w)
             del chosen[attr]
 
-    visit(((sink, frozenset({sink})), None), 1.0)
+    try:
+        visit(((sink, frozenset({sink})), None), 1.0)
+    finally:
+        del visit  # it refers to itself: break the cycle, leave no garbage
     return ranked
 
 

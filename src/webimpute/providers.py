@@ -30,10 +30,10 @@ import urllib.error
 import urllib.parse
 import urllib.request
 from bisect import bisect_left
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Protocol
+from typing import Iterable, Protocol, Sequence
 
 from .tabular import check_count, read_text
 from .textutil import find_token_seq, tokenize
@@ -98,13 +98,18 @@ class LocalCorpusProvider:
     ties break on ``(id, text)``.  Results are a pure function of
     (corpus, query), and growing the page budget only extends the list.
 
+    The corpus is a sequence of ``(id, text)`` pairs of strings, each a tuple
+    or a list; any other entry is a ``ValueError`` naming its position, raised
+    here and not at the first query.
+
     The first query tokenizes each page into one ``Document`` in ``(id, text)``
     order, so a document's index is its tie-break, and builds a token -> index
     inverted index (once, under a lock, since callers may share one provider
-    across threads); queries return these same objects.  A keyword's matching
-    documents are then its token's posting list, or, for a multi-token
-    keyword, the documents on its rarest token's posting list that contain
-    the whole sequence; each keyword's match list is memoised, in index order.
+    across threads); queries return these same objects.  A keyword's match
+    list, in index order, is its token's posting list itself (``()`` for a
+    token absent from the corpus), which no query changes; or, for a
+    multi-token keyword, the documents on its rarest token's posting list
+    that contain the whole sequence, memoised per keyword.
 
     A query computes exactly ``sorted((-score, index))[:k]``, ``k`` being
     ``pages * page_size``, without counting every match:
@@ -122,6 +127,9 @@ class LocalCorpusProvider:
        first ``n + h = k`` entries, and the first ``n`` score-1 pages
        overall are among those prefixes: a query reads no more of a list.
 
+    The steps hold for any number of keywords, so there is one path: with
+    one, step 2 counts nothing and step 3 reads the first ``k`` entries.
+
     Each distinct ``Query`` is ranked once: its list of at most ``pages *
     page_size`` indexed ``Document``s is kept for the provider's lifetime, and
     a repeat returns a copy of it.  ``HttpProvider`` keeps no such memo: a
@@ -131,6 +139,13 @@ class LocalCorpusProvider:
     def __init__(self, docs: Iterable[tuple[str, str]], page_size: int = PAGE_SIZE):
         check_count("page_size", page_size)
         self.docs = list(docs)
+        for n, doc in enumerate(self.docs):
+            if type(doc) is list:  # a list and a tuple do not compare
+                self.docs[n] = doc = tuple(doc)
+            if type(doc) is not tuple or len(doc) != 2 or not (
+                type(doc[0]) is str and type(doc[1]) is str
+            ):
+                raise ValueError(f"document {n} must be an (id, text) pair of strings: {doc!r}")
         self.page_size = page_size
         self._lock = threading.Lock()
         self._documents: list[Document] | None = None
@@ -147,21 +162,22 @@ class LocalCorpusProvider:
         with self._lock:
             if self._documents is None:
                 documents = [Document(id_, tokenize(text)) for id_, text in sorted(self.docs)]
+                postings = defaultdict(list)
                 for i, doc in enumerate(documents):
                     for token in set(doc.tokens):
-                        self._postings.setdefault(token, []).append(i)
+                        postings[token].append(i)
+                self._postings = dict(postings)
                 self._documents = documents
             return self._documents
 
-    def _match(self, needle: tuple[str, ...], docs: list[Document]) -> list[int]:
+    def _match(self, needle: tuple[str, ...], docs: list[Document]) -> Sequence[int]:
         """Indices of the documents containing the token sequence ``needle``."""
+        if len(needle) == 1:
+            return self._postings.get(needle[0], ())
         found = self._matches.get(needle)
         if found is None:  # racing threads store equal lists, so no lock
-            rarest = min((self._postings.get(t, []) for t in needle), key=len)
-            if len(needle) == 1:
-                found = rarest
-            else:
-                found = [i for i in rarest if find_token_seq(docs[i].tokens, needle)]
+            rarest = min([self._postings.get(t, ()) for t in needle], key=len)
+            found = [i for i in rarest if find_token_seq(docs[i].tokens, needle)]
             self._matches[needle] = found
         return found
 
@@ -173,22 +189,23 @@ class LocalCorpusProvider:
 
     def _rank(self, q: Query) -> list[Document]:
         docs = self._index()
-        needles = dict.fromkeys(tokenize(kw) for kw in q.keywords)
+        needles = dict.fromkeys([tokenize(kw) for kw in q.keywords])
         needles.pop((), None)
-        lists = sorted((self._match(n, docs) for n in needles), key=len)
+        lists = sorted([self._match(n, docs) for n in needles], key=len)
         if not lists:
             return []
         cut = q.pages * self.page_size
         longest = lists[-1]
-        scores = Counter()  # exact for every page on a shorter list (step 2)
+        scores: dict[int, int] = {}  # exact for every page on a shorter list (step 2)
         for found in lists[:-1]:
-            scores.update(found)
+            for i in found:
+                scores[i] = scores.get(i, 0) + 1
         for i in scores:
             j = bisect_left(longest, i)
             scores[i] += j < len(longest) and longest[j] == i
-        ranked = [i for _, i in sorted((-s, i) for i, s in scores.items() if s > 1)]
+        ranked = [i for _, i in sorted([(-s, i) for i, s in scores.items() if s > 1])]
         # step 3: a page absent from ``scores`` is on the longest list only
-        ranked += sorted(i for found in lists for i in found[:cut] if scores.get(i, 1) == 1)
+        ranked += sorted([i for found in lists for i in found[:cut] if scores.get(i, 1) == 1])
         return [docs[i] for i in ranked[:cut]]
 
 

@@ -1,3 +1,4 @@
+import gc
 import random
 import time
 
@@ -302,6 +303,33 @@ def test_ladder_search_matches_exhaustive_ranking():
     assert [g.weight for g in ranked] == [1.0, 0.8, 0.5, 0.4]
     for n in (1, 2, 8):
         assert enumerate_single_sink_graphs(graph, table, 0, f"L{depth}", limit=n) == ranked[:n]
+
+
+def test_search_leaves_no_garbage():
+    # a search's closures refer to one another; once it returns, plain
+    # reference counting must free them and their dicts, with no cycle left
+    # for the collector
+    depth = 6
+    columns = ["Key"] + [f"{x}{i}" for i in range(1, depth + 1) for x in "LM"]
+    table = make_table(columns, [["k"] + [MISSING] * (2 * depth)])
+    lines = ["la: Key -> L1 @ 0.8", "lb: Key -> L1 @ 1.0", "ma: Key -> M1 @ 1.0"]
+    lines += [
+        f"{x.lower()}{i}: L{i - 1}, M{i - 1} -> {x}{i} @ 1.0"
+        for i in range(2, depth + 1)
+        for x in "LM"
+    ]
+    _, graph = setup_graph("\n".join(lines), table)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        graphs = enumerate_single_sink_graphs(graph, table, 0, f"L{depth}", limit=1)
+        unreachable = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert [g.weight for g in graphs] == [1.0]
+    assert unreachable == 0
 
 
 def test_attribute_bound_ignores_reachable_attributes_above_the_mandatory():

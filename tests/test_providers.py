@@ -3,6 +3,7 @@ import random
 import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -114,13 +115,42 @@ class TestLocalProvider:
             with pytest.raises(ValueError, match="page_size must be an integer >= 1"):
                 LocalCorpusProvider([("d", "alpha")], page_size=page_size)
 
+    def test_malformed_documents_are_rejected_at_construction(self):
+        # "ab" used to be the page "b" with id "a"; a None text failed at the
+        # first query, an int id became Document(1, ...), and an int id next
+        # to a str one failed in the first query's sort
+        cases = [
+            (["ab"], 0),
+            ([("d", "alpha"), ("d", None)], 1),
+            ([(1, "alpha")], 0),
+            ([("a", "alpha"), (2, "alpha")], 1),
+            ([("a", "alpha", "beta")], 0),
+            ([("a", "alpha"), ("b",)], 1),
+            ([None], 0),
+        ]
+        for docs, position in cases:
+            with pytest.raises(ValueError, match=f"document {position} must be an"):
+                LocalCorpusProvider(docs)
+
+    def test_list_and_tuple_pairs_mix(self):
+        provider = LocalCorpusProvider([["b", "alpha"], ("a", "alpha beta"), ["a", "alpha"]])
+        docs = provider.query(Query(("alpha",)))
+        assert [(d.id, d.tokens) for d in docs] == [
+            ("a", ("alpha",)), ("a", ("alpha", "beta")), ("b", ("alpha",))
+        ]
+
     def test_index_matches_scan_oracle(self):
         rng = random.Random(20261017)
+        shapes = Counter()
         for _ in range(250):
             docs, queries, page_size = random_corpus_case(rng)
             provider = LocalCorpusProvider(docs, page_size=page_size)
             for q in queries + queries[:1]:  # the repeat is served from the memo
                 assert provider.query(q) == scan_query_oracle(docs, q, page_size)
+            shapes.update(shape for q in queries for shape in _shapes(docs, q, page_size))
+        minimum = {"one needle": 80, "absent token": 150, "same needle": 5,
+                   "three needles": 150, "cut all above 1": 20}
+        assert all(shapes[name] >= n for name, n in minimum.items()), shapes
 
     def test_ties_across_the_page_cut_match_scan_oracle(self):
         # shared ids with differing texts: the tie-break reads the text too
@@ -140,8 +170,10 @@ class TestLocalProvider:
         # several lists longer than the cut: a query reads only their heads
         rng = random.Random(20261020)
         long_lists = inside_level = 0
+        shapes = Counter()
         for _ in range(400):
             docs, q, page_size = frequent_corpus_case(rng)
+            shapes.update(_shapes(docs, q, page_size))
             cut = q.pages * page_size
             needles = {tokenize(kw) for kw in q.keywords} - {()}
             lengths = [len(scan_ranking_oracle(docs, Query((" ".join(n),)))) for n in needles]
@@ -151,6 +183,22 @@ class TestLocalProvider:
             provider = LocalCorpusProvider(docs, page_size=page_size)
             assert provider.query(q) == [doc for _, doc in ranked[:cut]]
         assert long_lists >= 100 and inside_level >= 100, (long_lists, inside_level)
+        minimum = {"one needle": 30, "absent token": 100, "same needle": 20,
+                   "three needles": 100, "cut all above 1": 100}
+        assert all(shapes[name] >= n for name, n in minimum.items()), shapes
+
+    def test_queries_leave_the_index_as_built(self):
+        # a one-token keyword's match list is its posting list itself, so a
+        # query that changed one would corrupt every later answer reading it
+        rng = random.Random(20261024)
+        docs, _, page_size = frequent_corpus_case(rng)
+        queries = [frequent_corpus_case(rng)[1] for _ in range(200)]
+        provider = LocalCorpusProvider(docs, page_size=page_size)
+        for q in queries:
+            assert provider.query(q) == scan_query_oracle(docs, q, page_size)
+        fresh = LocalCorpusProvider(docs, page_size=page_size)
+        fresh._index()
+        assert provider._postings == fresh._postings
 
     def test_repeated_queries_match_scan_oracle(self):
         # the memo is keyed by the whole Query: the same keywords at another
@@ -336,6 +384,25 @@ def http_server():
         server.server_close()
         thread.join(timeout=5)
         assert not thread.is_alive()
+
+
+def _shapes(docs, q: Query, page_size: int) -> set[str]:
+    """The cases of the ranking that ``q`` on ``docs`` exercises."""
+    needles: dict[tuple[str, ...], set[str]] = {}
+    for kw in q.keywords:
+        needles.setdefault(tokenize(kw), set()).add(kw)
+    needles.pop((), None)
+    vocabulary = {token for _, text in docs for token in tokenize(text)}
+    cut = q.pages * page_size
+    ranked = scan_ranking_oracle(docs, q)
+    shapes = {
+        "one needle": len(needles) == 1,
+        "three needles": len(needles) >= 3,
+        "absent token": any(t not in vocabulary for n in needles for t in n),
+        "same needle": any(len(kws) >= 2 for kws in needles.values()),
+        "cut all above 1": len(ranked) >= cut and ranked[cut - 1][0] >= 2,
+    }
+    return {name for name, seen in shapes.items() if seen}
 
 
 def test_strip_tags_unescapes_entities():
