@@ -39,13 +39,11 @@ they write, and the next round sweeps only the cells the round left missing.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 
 from .depgraph import DependencyGraph, RuleApplication
-from .rules import condition_rows
+from .rules import tally
 from .tabular import MISSING, Table, check_count, check_ratio
 
 ABSTAIN = None
@@ -98,8 +96,8 @@ class BayesDecision:
 class _FrequencyCounts:
     """Counts for a (condition, target attr, evidence attrs) setting.
 
-    Built from one tally of the condition rows per distinct (target,
-    evidence) value combination, not from one pass per row.
+    Built from the :func:`~webimpute.rules.tally` of the condition rows by
+    (target, evidence) values, one step per distinct combination, not per row.
     """
 
     candidates: list[str]  # sorted present target values over the condition rows
@@ -115,17 +113,11 @@ class _FrequencyCounts:
         evidence_attrs: tuple[str, ...],
         condition: tuple[tuple[str, str], ...],
     ) -> "_FrequencyCounts":
-        # The key has at least two columns, because a rule's LHS is never
-        # empty, so itemgetter returns a tuple.  Counter keeps the order in
-        # which each combination first appears, so the dicts below get their
-        # keys in the order a row-by-row scan would give them.
-        cols = map(table.column_index, (attr, *evidence_attrs))
-        combos = Counter(map(itemgetter(*cols), condition_rows(table, condition)))
         present: set[str] = set()
         target: dict[str, int] = {}
         pair: dict[tuple[str, str], dict[str, int]] = {}
         total = 0
-        for (d, *values), n in combos.items():
+        for (d, *values), n in tally(table, condition, (attr, *evidence_attrs)).items():
             if d is MISSING:
                 continue
             present.add(d)

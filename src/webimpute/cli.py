@@ -270,12 +270,18 @@ def _build_provider(args, config: RunConfig):
         raise _UsageError(f"bad http provider settings: {exc}") from None
 
 
-def _cmd_impute(args) -> int:
+def _run_inputs(args):
+    """``(config, provider, table, ruleset)`` of an ``impute`` or ``sweep``:
+    outputs checked before any input is read, the provider built before the table."""
     config = _load_config(args)
     _check_outputs(args.out, args.report, config.pattern_cache)
     provider = _build_provider(args, config)
     table = load_table(args.table)
-    ruleset = RuleSet.estimate(parse_rules_file(args.rules), table)
+    return config, provider, table, RuleSet.estimate(parse_rules_file(args.rules), table)
+
+
+def _cmd_impute(args) -> int:
+    config, provider, table, ruleset = _run_inputs(args)
     imputed, report = impute(table, ruleset, config, provider)
     write_table(imputed, args.out)
     if args.report:
@@ -331,11 +337,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = _load_config(args)
-    _check_outputs(args.out, args.report, config.pattern_cache)
-    provider = _build_provider(args, config)
-    table = load_table(args.table)
-    ruleset = RuleSet.estimate(parse_rules_file(args.rules), table)
+    config, provider, table, ruleset = _run_inputs(args)
     result = sweep(
         table, ruleset, config, provider, args.ratios, args.seeds, protected=args.protect
     )

@@ -169,6 +169,17 @@ def _search(
     ``missing`` holds the attributes upstream of ``sink`` that are missing in
     the row, ``holds`` the upstream conditions that hold in it.  Returns the
     ranked plans (see ``_finalize``).
+
+    A revisited attribute needs no path check.  The chosen applications form
+    an acyclic graph (an edge from each derived attribute to each missing
+    determinant of its application), and a pending item's path is a chain of
+    its attribute's chosen ancestors.  A fresh choice rejects an application
+    with a determinant on the path, and depth first finishes a derived
+    attribute's subtree before any item outside it, so no later choice points
+    back into an unfinished subtree (its root would be on the path): a
+    revisited attribute's determinants are its descendants, never on its
+    path.  A branch completes only once every missing determinant it pushed
+    is derived, so ``_finalize`` queues no attribute without an application.
     """
     options: dict[str, list[_Option]] = {}
 
@@ -196,11 +207,8 @@ def _search(
         # derived attributes and not the number of paths reaching them.
         while todo is not None:
             (attr, path), rest = todo
-            fixed = chosen.get(attr)
-            if fixed is None:
+            if attr not in chosen:
                 break
-            if not path.isdisjoint(fixed.determinants):
-                return
             todo = _push(rest, attr, path, expands[attr])
         if todo is None:
             insort(ranked, _finalize(sink, chosen, weight, missing), key=itemgetter(0))
@@ -309,9 +317,7 @@ def _finalize(
     queue = [sink]
     seen = {sink}
     while queue:
-        app = apps.get(queue.pop(0))
-        if app is None:
-            continue
+        app = apps[queue.pop(0)]
         for det in app.determinants:
             if det not in seen:
                 seen.add(det)

@@ -163,8 +163,8 @@ class RunReport:
     def to_json(self, include_timings: bool = True) -> str:
         return dump_json(self.to_dict(include_timings))
 
-    def write(self, path: str | Path, include_timings: bool = True) -> None:
-        Path(path).write_text(self.to_json(include_timings), encoding="utf-8")
+    def write(self, path: str | Path) -> None:
+        Path(path).write_text(self.to_json(), encoding="utf-8")
 
 
 class _RetryingProvider:

@@ -91,12 +91,19 @@ class Rule:
         return set(self.lhs) | set(self.rhs) | set(self.condition_attrs)
 
 
-def condition_rows(table: Table, condition: tuple[tuple[str, str], ...]) -> list[list]:
-    """The rows that satisfy every ``(attr, literal)`` equality (values present)."""
-    if not condition:
-        return table.rows
-    cols = [(table.column_index(a), lit) for a, lit in condition]
-    return [row for row in table.rows if all(row[c] == lit for c, lit in cols)]
+def tally(table: Table, condition: tuple[tuple[str, str], ...], attrs: Sequence[str]) -> Counter:
+    """How many rows that satisfy every ``(attr, literal)`` of ``condition``
+    hold each combination of ``attrs`` values (missing ones included).
+
+    ``attrs`` names at least two columns, so every key is a tuple.  Keys come in
+    first-appearance order, which fixes the key order of the dicts built from it.
+    """
+    key = itemgetter(*map(table.column_index, attrs))
+    rows = table.rows
+    if condition:
+        cols = [(table.column_index(a), lit) for a, lit in condition]
+        rows = [row for row in rows if all(row[c] == lit for c, lit in cols)]
+    return Counter(map(key, rows))
 
 
 _QUOTED = re.compile(r'"[^"]*"?')  # an unclosed quote runs to the end
@@ -224,15 +231,10 @@ def estimate_confidence(rule: Rule, table: Table) -> dict[str, float]:
     if rule.declared_confidence is not None:
         return dict.fromkeys(rule.rhs, rule.declared_confidence)
     result: dict[str, float] = {}
-    rows = condition_rows(table, rule.condition)
-    lhs_cols = [table.column_index(a) for a in rule.lhs]
     for attr in rule.rhs:
-        # The key has at least two columns, because a rule's LHS is never
-        # empty, so itemgetter returns a tuple: the LHS values, then attr's.
-        combos = Counter(map(itemgetter(*lhs_cols, table.column_index(attr)), rows))
         groups: dict[tuple, dict[str, int]] = {}
         total = 0
-        for combo, n in combos.items():
+        for combo, n in tally(table, rule.condition, (*rule.lhs, attr)).items():
             if MISSING in combo:
                 continue
             total += n

@@ -265,7 +265,8 @@ def mask_random(
     among the rules that cover it.  If the ratio makes that impossible a
     :class:`MaskError` is raised.
 
-    Deterministic: the same (table, spec) always yields the same mask.
+    Deterministic: positions are shuffled with ``spec.seed`` and taken in that
+    order, skipping any that breaks a check, so (table, spec, rules) fix the mask.
     """
     unknown = spec.protected_attrs - set(table.columns)
     if unknown:
@@ -278,42 +279,36 @@ def mask_random(
                 f"cannot mask: cell (row {r}, {c}) is already missing"
             )
     count = math.floor(round(spec.ratio * len(positions), 9))
-    rng = random.Random(spec.seed)
-    shuffled = list(positions)
-    rng.shuffle(shuffled)
+    random.Random(spec.seed).shuffle(positions)
 
-    rule_list = list(rules) if rules is not None else None
-    covering: dict[str, list["Rule"]] = {}
-    if rule_list:
-        for col in maskable_cols:
-            covering[col] = [ru for ru in rule_list if col in ru.rhs]
+    covering = None  # column -> the LHS sets of the rules that cover it
+    if rules is not None:
+        rules = list(rules)  # it may be a one-shot iterator
+        covering = {c: [set(ru.lhs) for ru in rules if c in ru.rhs] for c in maskable_cols}
 
-    masked_by_row: dict[int, set[str]] = {}
-    unmasked_left = {r: len(maskable_cols) for r in range(len(table.rows))}
+    masked: list[set[str]] = [set() for _ in table.rows]  # row -> masked columns
     chosen: list[tuple[int, str]] = []
-    for r, c in shuffled:
+    for r, c in positions:
         if len(chosen) == count:
             break
-        if unmasked_left[r] <= 1:
+        row_masked = masked[r]
+        if len(row_masked) >= len(maskable_cols) - 1:  # one must stay unmasked
             continue
-        if rule_list is not None:
-            tentative = masked_by_row.get(r, set()) | {c}
+        if covering is not None:
+            tentative = row_masked | {c}
             if any(
-                covering.get(a)
-                and all(set(ru.lhs) <= tentative for ru in covering[a])
+                covering[a] and all(lhs <= tentative for lhs in covering[a])
                 for a in tentative
             ):
                 continue
         chosen.append((r, c))
-        unmasked_left[r] -= 1
-        masked_by_row.setdefault(r, set()).add(c)
+        row_masked.add(c)
     if len(chosen) < count:
         raise MaskError(
             f"ratio {spec.ratio} would mask every non-protected cell of some row "
             f"(wanted {count} cells, only {len(chosen)} can be masked)"
         )
 
-    col_order = {c: i for i, c in enumerate(table.columns)}
-    chosen.sort(key=lambda rc: (rc[0], col_order[rc[1]]))
-    truth = [MaskedCell(r, c, table.rows[r][col_order[c]]) for r, c in chosen]
+    chosen.sort(key=lambda rc: (rc[0], table.column_index(rc[1])))
+    truth = [MaskedCell(r, c, table.cell(r, c)) for r, c in chosen]
     return table.with_cells((r, c, MISSING) for r, c in chosen), truth

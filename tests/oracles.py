@@ -1,4 +1,5 @@
-"""Independent brute-force oracles, random-case generators and a query recorder.
+"""Independent brute-force oracles, random-case generators, a query recorder
+and the tests' table builder.
 
 These deliberately avoid the library's internal machinery: frequencies are
 counted with plain loops, the best evidence subgraph is found by
@@ -24,6 +25,11 @@ from webimpute.keywords import SinkGraph
 from webimpute.patterns import FORWARD
 from webimpute.rules import RuleParseError
 from webimpute.tabular import MISSING
+
+
+def make_table(columns, rows):
+    """A table named ``t`` holding copies of ``columns`` and of each row."""
+    return Table("t", list(columns), [list(r) for r in rows])
 
 
 class CountingProvider:

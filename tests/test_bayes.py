@@ -11,6 +11,7 @@ from oracles import (
     count_table_oracle,
     feasible_oracle,
     internal_fills_oracle,
+    make_table,
     missing_cells_oracle,
     random_bayes_case,
     random_count_case,
@@ -20,7 +21,6 @@ from oracles import (
 from webimpute import (
     MISSING,
     RuleSet,
-    Table,
     build_dependency_graph,
     impute_internal,
     parse_rules,
@@ -29,10 +29,6 @@ from webimpute.bayes import BayesDecision, CandidateScore, _FrequencyCounts
 from webimpute.rules import parse_rules_file
 from webimpute.synth import write_university_fixture
 from webimpute.tabular import MaskSpec, load_table, mask_random
-
-
-def make_table(columns, rows):
-    return Table("t", list(columns), [list(r) for r in rows])
 
 
 def setup_ruleset(text, table):

@@ -4,22 +4,18 @@ from dataclasses import replace
 
 import pytest
 
+from oracles import make_table
 from webimpute import (
     LocalCorpusProvider,
     MaskedCell,
     RuleSet,
     RunConfig,
-    Table,
     evaluate,
     parse_rules,
     sweep,
 )
 from webimpute.evalharness import run_one
 from webimpute.tabular import MISSING
-
-
-def make_table(columns, rows):
-    return Table("t", list(columns), [list(r) for r in rows])
 
 
 class TestEvaluate:

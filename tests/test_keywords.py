@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     _sink_graph_key,
     best_weight_oracle,
+    make_table,
     random_ranked_sink_case,
     random_shape_case,
     random_sink_case,
@@ -15,7 +16,6 @@ from oracles import (
 from webimpute import (
     MISSING,
     RuleSet,
-    Table,
     build_dependency_graph,
     enumerate_single_sink_graphs,
     impute_internal,
@@ -24,10 +24,6 @@ from webimpute import (
     select_optimal,
 )
 from webimpute import keywords
-
-
-def make_table(columns, rows):
-    return Table("t", list(columns), [list(r) for r in rows])
 
 
 def setup_graph(text, table):

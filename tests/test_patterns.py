@@ -3,12 +3,11 @@ from collections import Counter
 
 import pytest
 
-from oracles import CountingProvider, maximal_patterns_oracle, random_mining_case
+from oracles import CountingProvider, make_table, maximal_patterns_oracle, random_mining_case
 from webimpute import (
     Dictionary,
     LocalCorpusProvider,
     Pattern,
-    Table,
     extract_by_pattern,
     load_patterns,
     mine_patterns,
@@ -16,10 +15,6 @@ from webimpute import (
 )
 from webimpute.patterns import FORWARD, REVERSE, MiningError, context_supports
 from webimpute.tabular import MISSING
-
-
-def make_table(columns, rows):
-    return Table("t", list(columns), [list(r) for r in rows])
 
 
 @pytest.fixture
@@ -216,6 +211,32 @@ class TestExtract:
         pattern = Pattern("A", "B", ("in",), FORWARD, 1)
         provider = LocalCorpusProvider([("d", "alpha in unknownvalue")])
         assert extract_by_pattern(pattern, "alpha", provider, Dictionary("B", ("x",))) is None
+
+    def test_value_without_tokens_or_context_beyond_max_gap_costs_no_query(self):
+        rows = [[f"a{i}", f"b{i}"] for i in range(3)]
+        provider = CountingProvider(
+            LocalCorpusProvider(
+                [(f"d{i}", f"{a} is the home town of {b}") for i, (a, b) in enumerate(rows)]
+            )
+        )
+        table = make_table(["A", "B"], rows)
+        (pattern,) = mine_patterns(provider, table, ("A", "B"), 3, sample=3, max_gap=8)
+        assert pattern.context == ("is", "the", "home", "town", "of")
+        d = Dictionary("B", tuple(b for _, b in rows))
+        assert extract_by_pattern(pattern, "a1", provider, d, max_gap=8) == "b1"
+        provider.queries.clear()
+        assert extract_by_pattern(pattern, "!!", provider, d) is None
+        assert extract_by_pattern(pattern, "a1", provider, d, max_gap=2) is None
+        assert provider.queries == []
+
+    def test_context_at_the_page_edge_reads_no_value(self):
+        d = Dictionary("B", ("beta",))
+        forward = Pattern("A", "B", ("in",), FORWARD, 1)  # the context ends the page
+        provider = LocalCorpusProvider([("d", "alpha in")])
+        assert extract_by_pattern(forward, "alpha", provider, d) is None
+        reverse = Pattern("A", "B", ("in",), REVERSE, 1)  # the context starts the page
+        provider = LocalCorpusProvider([("d", "in alpha")])
+        assert extract_by_pattern(reverse, "alpha", provider, d) is None
 
 
 def test_mine_then_extract_round_trip():

@@ -4,22 +4,17 @@ from dataclasses import replace
 
 import pytest
 
-from oracles import CountingProvider
+from oracles import CountingProvider, make_table
 from webimpute import (
     MISSING,
     LocalCorpusProvider,
     ProviderError,
     RuleSet,
     RunConfig,
-    Table,
     impute,
     parse_rules,
 )
 from webimpute.pipeline import ABSTAINED, FILLED_INTERNAL, FILLED_KEYWORD, FILLED_PATTERN
-
-
-def make_table(columns, rows):
-    return Table("t", list(columns), [list(r) for r in rows])
 
 
 class FailingProvider:

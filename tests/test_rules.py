@@ -11,18 +11,15 @@ from oracles import (
     _strip_comment,
     conditions_hold,
     confidence_oracle,
+    make_table,
     parse_rules_oracle,
     random_count_case,
     random_rule_line,
 )
 
-from webimpute import Rule, RuleSet, Table, estimate_confidence, parse_rules
+from webimpute import Rule, RuleSet, estimate_confidence, parse_rules
 from webimpute.rules import RuleError, RuleParseError
 from webimpute.tabular import MISSING
-
-
-def make_table(columns, rows):
-    return Table("t", list(columns), [list(r) for r in rows])
 
 
 class TestParse:

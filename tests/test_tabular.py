@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from oracles import missing_cells_oracle, with_cells_oracle
+from oracles import make_table, missing_cells_oracle, with_cells_oracle
 from webimpute import MISSING, MaskSpec, Table, load_table, mask_random, write_table
 from webimpute.rules import parse_rules
 from webimpute.tabular import (
@@ -14,10 +14,6 @@ from webimpute.tabular import (
     to_csv_text,
     write_ground_truth,
 )
-
-
-def make_table(columns, rows, name="t"):
-    return Table(name, list(columns), [list(r) for r in rows])
 
 
 class TestLoad:
