@@ -10,7 +10,13 @@ through mined text patterns or dictionary distance matching.
 from .bayes import ABSTAIN, BayesDecision, impute_internal
 from .depgraph import DependencyGraph, build_dependency_graph, export_dot
 from .evalharness import Metrics, SweepResult, evaluate, run_one, sweep
-from .extract import Dictionary, avg_distance, build_dictionary, extract_by_keywords
+from .extract import (
+    Dictionary,
+    avg_distance,
+    build_dictionary,
+    dictionary_values,
+    extract_by_keywords,
+)
 from .keywords import (
     SinkGraph,
     enumerate_single_sink_graphs,
@@ -75,6 +81,7 @@ __all__ = [
     "avg_distance",
     "build_dependency_graph",
     "build_dictionary",
+    "dictionary_values",
     "enumerate_single_sink_graphs",
     "estimate_confidence",
     "evaluate",

@@ -6,6 +6,14 @@ scores the result against the mask's ground truth.  Accuracy is judged over
 attempted fills and the filling ratio over all masked cells, so the two
 metrics stay independent.  A grid point's own failure, a ratio it cannot
 mask (:class:`MaskError`), is recorded; any other error ends the sweep.
+
+The grid points of one ``sweep`` call share one :class:`SweepMemo`, which
+holds what does not depend on a point's mask: each dictionary file's lines,
+each ``Dictionary`` per (attribute, value set) and, for a provider that is
+not ``live`` (see ``SearchProvider``), each mined pattern list and each
+pattern extraction, keyed by its whole input.  So a point's table and report
+are those of a run of its own.  A live provider, such as ``HttpProvider``,
+shares no mining or extraction result.  The memo ends with the call.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .pipeline import RunConfig, impute
+from .pipeline import RunConfig, SweepMemo, impute
 from .providers import SearchProvider
 from .rules import RuleSet
 from .tabular import MISSING, MaskedCell, MaskError, MaskSpec, Table, mask_random
@@ -143,13 +151,17 @@ def run_one(
     ratio: float,
     seed: int,
     protected: Iterable[str] = (),
+    memo: SweepMemo | None = None,
 ) -> Metrics:
-    """mask -> impute -> evaluate for one grid point, with wall time."""
+    """mask -> impute -> evaluate for one grid point, with wall time.
+
+    ``memo`` is handed to ``impute``: work shared with the sweep's other points.
+    """
     spec = MaskSpec(ratio=ratio, seed=seed, protected_attrs=frozenset(protected))
     masked, truth = mask_random(table, spec, rules=ruleset.rules)
     start = time.perf_counter()
     run_ruleset = RuleSet.estimate(ruleset.rules, masked)
-    imputed, report = impute(masked, run_ruleset, config, provider)
+    imputed, report = impute(masked, run_ruleset, config, provider, memo=memo)
     elapsed = time.perf_counter() - start
     metrics = evaluate(truth, imputed)
     metrics.wall_time = elapsed
@@ -166,13 +178,15 @@ def sweep(
     seeds: Sequence[int],
     protected: Iterable[str] = (),
 ) -> SweepResult:
-    """The full (ratio x seed) grid, one grid point after another."""
+    """The full (ratio x seed) grid, one grid point after another, sharing one memo."""
+    protected = frozenset(protected)
+    memo = SweepMemo()
     rows = []
     for ratio in ratios:
         for seed in seeds:
             try:
                 metrics = run_one(
-                    table, ruleset, config, provider, ratio, seed, protected
+                    table, ruleset, config, provider, ratio, seed, protected, memo
                 )
                 rows.append(SweepRow(ratio, seed, metrics))
             except MaskError as exc:  # recorded, sweep continues

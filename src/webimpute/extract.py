@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 from .providers import Document
@@ -83,21 +84,23 @@ class Dictionary:
         return hits
 
 
-def build_dictionary(table: Table, attr: str, extra: Iterable[str] = ()) -> Dictionary:
-    """Distinct present values of ``attr`` plus the non-blank ``extra`` lines.
+def dictionary_values(table: Table, attr: str, extra: Iterable[str] = ()) -> frozenset[str]:
+    """Distinct present values of ``attr`` plus the stripped non-blank ``extra`` lines.
 
     The extra lines, one value each (the lines of a supplementary dictionary
     file), stand in for candidate values harvested outside the table.
     """
     col = table.column_index(attr)
-    values = {row[col] for row in table.rows if row[col] is not MISSING}
-    for line in extra:
-        line = line.strip()
-        if line:
-            values.add(line)
-    if not values:
+    present = (row[col] for row in table.rows if row[col] is not MISSING)
+    return frozenset(chain(present, filter(None, (line.strip() for line in extra))))
+
+
+def build_dictionary(attr: str, values: Iterable[str]) -> Dictionary:
+    """The dictionary of ``attr`` over ``values``, e.g. a :func:`dictionary_values` set."""
+    entries = tuple(sorted(values))
+    if not entries:
         log.warning("dictionary for %r is empty", attr)
-    return Dictionary(attr, tuple(sorted(values)))
+    return Dictionary(attr, entries)
 
 
 def avg_distance(

@@ -76,6 +76,16 @@ class Pattern:
         }
 
 
+def mining_sample(
+    table: Table, attr_pair: tuple[str, str], sample: int
+) -> tuple[tuple[str, str], ...]:
+    """The first ``sample`` ``(v1, v2)`` values of rows complete on ``attr_pair``:
+    all that mining reads of the table."""
+    i1, i2 = table.column_index(attr_pair[0]), table.column_index(attr_pair[1])
+    rows = (r for r in table.rows if r[i1] is not MISSING and r[i2] is not MISSING)
+    return tuple((r[i1], r[i2]) for r in islice(rows, sample))
+
+
 def context_supports(
     provider: SearchProvider,
     table: Table,
@@ -85,11 +95,9 @@ def context_supports(
     max_gap: int = MAX_GAP,
 ) -> Counter:
     """Raw support counts: (context tokens, direction) -> co-occurrence count."""
-    a1, a2 = attr_pair
-    i1, i2 = table.column_index(a1), table.column_index(a2)
-    rows = (r for r in table.rows if r[i1] is not MISSING and r[i2] is not MISSING)
-    complete = [(r[i1], r[i2]) for r in islice(rows, sample)]
+    complete = mining_sample(table, attr_pair, sample)
     if not complete:
+        a1, a2 = attr_pair
         raise MiningError(f"no mining evidence: no tuple complete on ({a1}, {a2})")
     supports: Counter = Counter()
     for v1, v2 in complete:

@@ -6,7 +6,8 @@ within a row: select the optimal keyword group (abstain if its weight is
 below the group threshold), try mined patterns for the group's (source, sink)
 attribute pairs, and fall back to keyword-group extraction when no pattern
 produces a value.  Rules and dictionaries may name only table columns, and
-every dictionary file is read before phase 1.  Phase 2 runs serially,
+every dictionary file is read before phase 1, or earlier in the sweep whose
+:class:`SweepMemo` the run is handed.  Phase 2 runs serially,
 one cell at a time; every cell is evaluated against the phase-1 snapshot and
 its fill is applied afterwards, so no phase-2 fill influences another cell.
 Provider failures mark the cell abstained and never abort a run.
@@ -19,10 +20,11 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from .bayes import BayesDecision, impute_internal
 from .depgraph import build_dependency_graph
-from .extract import Dictionary, build_dictionary, extract_by_keywords
+from .extract import Dictionary, build_dictionary, dictionary_values, extract_by_keywords
 from .keywords import (
     SinkGraph,
     enumerate_single_sink_graphs,
@@ -36,6 +38,7 @@ from .patterns import (
     extract_by_pattern,
     load_patterns,
     mine_patterns,
+    mining_sample,
     save_patterns,
 )
 from .providers import PAGE_SIZE, ProviderError, Query, SearchProvider
@@ -173,6 +176,7 @@ class _RetryingProvider:
     def __init__(self, provider: SearchProvider, retries: int):
         self._provider = provider
         self._retries = retries
+        self.live = getattr(provider, "live", False)
 
     def query(self, q: Query) -> list:
         last: ProviderError | None = None
@@ -184,50 +188,128 @@ class _RetryingProvider:
         raise last
 
 
+_UNSET = object()
+
+
+class SweepMemo:
+    """Work that repeats across the imputation runs of one sweep, done once.
+
+    Each table is keyed by the whole input of the work it replaces: file
+    lines by path; a ``Dictionary`` by (attribute, value set); a pair's mined
+    patterns by (pair, mining sample values, support, sample, pages,
+    ``max_gap``); the first ``(pattern, value)`` a pair's patterns extract,
+    or None, by (pattern list, dictionary, pages, ``max_gap``) and then by
+    known value, so a cell pays one lookup per source attribute.  Pattern
+    lists are interned by content; the extraction key names a list and a
+    dictionary by identity, which is sound as the memo keeps both alive.
+    Mining and extraction results are kept only for a provider that is not
+    ``live`` (see ``SearchProvider``); errors never are.  A miss calls this
+    module's ``build_dictionary``, ``mine_patterns`` or ``extract_by_pattern``.
+    """
+
+    def __init__(self) -> None:
+        self._lines: dict[str, list[str]] = {}
+        self._dictionaries: dict[tuple[str, frozenset[str]], Dictionary] = {}
+        self._interned: dict[tuple[Pattern, ...], tuple[Pattern, ...]] = {}
+        self._mined: dict[tuple, tuple[Pattern, ...]] = {}
+        self._fills: dict[tuple, dict[str, tuple[Pattern, str] | None]] = {}
+
+    def lines(self, path: str) -> list[str]:
+        if (lines := self._lines.get(path)) is None:
+            lines = self._lines[path] = read_text(path).splitlines()
+        return lines
+
+    def dictionary(self, table: Table, attr: str, extra: list[str]) -> Dictionary:
+        key = (attr, dictionary_values(table, attr, extra))
+        if (found := self._dictionaries.get(key)) is None:
+            found = self._dictionaries[key] = build_dictionary(*key)
+        return found
+
+    def intern(self, patterns: list[Pattern]) -> tuple[Pattern, ...]:
+        patterns = tuple(patterns)
+        return self._interned.setdefault(patterns, patterns)
+
+    def mine(
+        self, provider: _RetryingProvider, table: Table, pair: tuple[str, str], config: RunConfig
+    ) -> tuple[Pattern, ...]:
+        """``mine_patterns`` for ``pair``, or () where the table has no evidence."""
+        counts = (config.effective_pattern_support, config.sample, config.pages, config.max_gap)
+        key = (pair, mining_sample(table, pair, config.sample), counts)
+        if (found := self._mined.get(key)) is None:
+            try:
+                found = self.intern(mine_patterns(provider, table, pair, *counts))
+            except MiningError:
+                found = ()
+            if not provider.live:
+                self._mined[key] = found
+        return found
+
+    def extractor(
+        self,
+        patterns: tuple[Pattern, ...],
+        dictionary: Dictionary,
+        provider: _RetryingProvider,
+        config: RunConfig,
+    ) -> Callable[[str], tuple[Pattern, str] | None]:
+        """known value -> the first ``(pattern, value)`` that a pair's interned
+        ``patterns`` extract through its sink's interned ``dictionary``, or None."""
+        done = self._fills.setdefault(
+            (id(patterns), id(dictionary), config.pages, config.max_gap), {}
+        )
+
+        def first_fill(known_value: str) -> tuple[Pattern, str] | None:
+            if (found := done.get(known_value, _UNSET)) is _UNSET:
+                found = None
+                for pattern in patterns:
+                    value = extract_by_pattern(
+                        pattern, known_value, provider, dictionary, config.pages, config.max_gap
+                    )
+                    if value is not None:
+                        found = pattern, value
+                        break
+                if not provider.live:
+                    done[known_value] = found
+            return found
+
+        return first_fill
+
+
 def _mine_needed_patterns(
     pairs: list[tuple[str, str]],
     table: Table,
-    provider: SearchProvider,
+    provider: _RetryingProvider,
     config: RunConfig,
-) -> dict[tuple[str, str], list[Pattern]]:
+    memo: SweepMemo,
+) -> dict[tuple[str, str], tuple[Pattern, ...]]:
     cache_path = Path(config.pattern_cache) if config.pattern_cache else None
     mined: dict[tuple[str, str], list[Pattern]] = {}
     if cache_path is not None and cache_path.exists():
         for pattern in load_patterns(cache_path):
             mined.setdefault((pattern.attr1, pattern.attr2), []).append(pattern)
         log.info("loaded %d cached pattern pairs from %s", len(mined), cache_path)
+    interned = {pair: memo.intern(patterns) for pair, patterns in mined.items()}
     for pair in pairs:
-        if pair in mined:
+        if pair in interned:
             continue
         try:
-            mined[pair] = mine_patterns(
-                provider,
-                table,
-                pair,
-                min_support=config.effective_pattern_support,
-                sample=config.sample,
-                pages=config.pages,
-                max_gap=config.max_gap,
-            )
-        except MiningError:
-            mined[pair] = []
+            interned[pair] = memo.mine(provider, table, pair, config)
         except ProviderError as exc:
             log.warning("pattern mining for %s failed: %s", pair, exc)
-            mined[pair] = []
+            interned[pair] = ()
     if cache_path is not None:
-        flat = [p for patterns in mined.values() for p in patterns]
+        flat = [p for patterns in interned.values() for p in patterns]
         flat.sort(key=lambda p: (p.attr1, p.attr2, -p.support, " ".join(p.context)))
         save_patterns(flat, cache_path)
-    return mined
+    return interned
 
 
 def _extract_cell(
     cell: tuple[int, str],
     graph: SinkGraph,
     alternatives: list[dict],
-    provider: SearchProvider,
+    provider: _RetryingProvider,
     config: RunConfig,
-    patterns: dict[tuple[str, str], list[Pattern]],
+    extractors: dict[tuple[str, str], Callable[[str], tuple[Pattern, str] | None]],
     dictionary: Dictionary,
 ) -> CellOutcome:
     row, attr = cell
@@ -241,16 +323,9 @@ def _extract_cell(
     )
     try:
         for source, known_value in zip(graph.source_attrs, graph.source_values):
-            for pattern in patterns.get((source, attr), ()):
-                value = extract_by_pattern(
-                    pattern,
-                    known_value,
-                    provider,
-                    dictionary,
-                    pages=config.pages,
-                    max_gap=config.max_gap,
-                )
-                if value is not None:
+            if (extract := extractors.get((source, attr))) is not None:
+                if (fill := extract(known_value)) is not None:
+                    pattern, value = fill
                     return CellOutcome(
                         outcome=FILLED_PATTERN,
                         value=value,
@@ -272,14 +347,21 @@ def impute(
     ruleset: RuleSet,
     config: RunConfig,
     provider: SearchProvider,
+    memo: SweepMemo | None = None,
 ) -> tuple[Table, RunReport]:
-    """Run the full flow and report one outcome per initially-missing cell."""
+    """Run the full flow and report one outcome per initially-missing cell.
+
+    ``memo`` holds work shared with other runs on the same provider and
+    corpus (see :class:`SweepMemo`); by default the run has its own.
+    """
     for named, attrs in [
         ("rules reference", ruleset.referenced_attrs()), ("dictionaries name", config.dictionaries)
     ]:
         if unknown := sorted(set(attrs) - set(table.columns)):
             raise ValueError(f"{named} attributes not in table: {', '.join(unknown)}")
-    extra_entries = {a: read_text(path).splitlines() for a, path in config.dictionaries.items()}
+    if memo is None:
+        memo = SweepMemo()
+    extra_entries = {a: memo.lines(path) for a, path in config.dictionaries.items()}
     t_start = time.perf_counter()
     initial_missing = list(table.missing_cells())
     provider = _RetryingProvider(provider, config.query_retries)
@@ -315,7 +397,7 @@ def impute(
             plans[(row, attr)] = (best, alternatives)
 
     dictionaries = {
-        attr: build_dictionary(internal_table, attr, extra_entries.get(attr, ()))
+        attr: memo.dictionary(internal_table, attr, extra_entries.get(attr, []))
         for attr in dict.fromkeys(attr for _, attr in plans)
     }
 
@@ -324,12 +406,17 @@ def impute(
         for (_, attr), (best, _) in plans.items()
         for source in best.source_attrs
     })
-    mined = _mine_needed_patterns(needed_pairs, internal_table, provider, config)
+    mined = _mine_needed_patterns(needed_pairs, internal_table, provider, config, memo)
+    extractors = {
+        pair: memo.extractor(mined[pair], dictionaries[pair[1]], provider, config)
+        for pair in needed_pairs
+        if mined[pair]
+    }
 
     fills = []
     for cell, (best, alternatives) in plans.items():  # row-major, as initial_missing
         outcome = _extract_cell(
-            cell, best, alternatives, provider, config, mined, dictionaries[cell[1]]
+            cell, best, alternatives, provider, config, extractors, dictionaries[cell[1]]
         )
         outcomes[cell] = outcome
         if outcome.value is not None:

@@ -69,6 +69,16 @@ class Document:
 
 
 class SearchProvider(Protocol):  # pragma: no cover - structural type only
+    """What the pipeline queries.
+
+    A provider whose answer to a query may change from one call to the next,
+    such as a live web search, sets the class attribute ``live = True``.  A
+    provider without it declares its answer a pure function of the query, so
+    the grid points of one sweep share mined patterns and pattern
+    extractions instead of asking it again; a live provider is asked every
+    time, as by runs that share nothing.
+    """
+
     def query(self, q: Query) -> list[Document]:
         """Documents best first: a document's rank is its index in the list."""
 
@@ -227,6 +237,8 @@ class HttpProvider:
     Consecutive requests, within a query or across queries, start at least
     ``delay_ms`` after the previous one finished.
     """
+
+    live = True  # a page can change between requests: no answer is shared
 
     def __init__(
         self,

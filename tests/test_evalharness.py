@@ -1,10 +1,12 @@
 import csv
 import io
+import random
 from dataclasses import replace
 
 import pytest
 
-from oracles import make_table
+import webimpute.evalharness as evalharness
+from oracles import CountingProvider, make_table
 from webimpute import (
     LocalCorpusProvider,
     MaskedCell,
@@ -15,7 +17,8 @@ from webimpute import (
     sweep,
 )
 from webimpute.evalharness import run_one
-from webimpute.tabular import MISSING
+from webimpute.pipeline import impute
+from webimpute.tabular import MISSING, MaskError, MaskSpec, mask_random, to_csv_text
 
 
 class TestEvaluate:
@@ -131,6 +134,20 @@ class TestSweep:
         with pytest.raises(FileNotFoundError):
             sweep(table, ruleset, config, provider, [0.95, 0.3], [1], protected=["K"])
 
+    def test_one_shot_protected_iterable_protects_every_point(self, tiny_setup, monkeypatch):
+        table, ruleset, config, provider = tiny_setup
+        specs = []
+        mask = evalharness.mask_random
+
+        def recording(table, spec, rules=None):
+            specs.append(spec)
+            return mask(table, spec, rules=rules)
+
+        monkeypatch.setattr(evalharness, "mask_random", recording)
+        sweep(table, ruleset, config, provider, [0.1, 0.3], [1],
+              protected=(a for a in ["K"]))
+        assert [s.protected_attrs for s in specs] == [frozenset({"K"})] * 2
+
     def test_run_one_reports_wall_time(self, tiny_setup):
         table, ruleset, config, provider = tiny_setup
         metrics = run_one(table, ruleset, config, provider, 0.2, 1, protected=["K"])
@@ -148,3 +165,117 @@ def test_filling_ratio_non_decreasing_in_pages(tiny_setup):
         metrics = run_one(table, ruleset, cfg, provider, 0.3, 1, protected=["K"])
         ratios.append(metrics.filling_ratio)
     assert ratios == sorted(ratios)
+
+
+class LiveCountingProvider(CountingProvider):
+    live = True
+
+
+def _memo_case(seed, tmp_path):
+    """A complete table, its rules, a corpus and a config for a random sweep.
+
+    Cities repeat across rows and have no dictionary file, so a grid point's
+    City dictionary depends on its mask.  City and Code have patterns, with
+    supports that depend on which rows are sampled; Tag co-occurs with the
+    key only through random filler words, so (Name, Tag) mines no pattern.
+    """
+    rng = random.Random(seed)
+    cities = ["Avon", "Brill", "Crewe", "Dover"]
+    rows = [
+        [f"Inst{i}", rng.choice(cities), f"C{rng.randrange(90) + 10}", f"tag{rng.randrange(6)}"]
+        for i in range(14)
+    ]
+    table = make_table(["Name", "City", "Code", "Tag"], rows)
+    rules = parse_rules("r1: Name -> City\nr2: Name -> Code\nr3: Name -> Tag")
+    corpus = []
+    for i, (name, city, code, tag) in enumerate(rows):
+        corpus.append((f"c{i:02d}", f"{name} is located in {city} ."))
+        if rng.random() < 0.5:
+            corpus.append((f"d{i:02d}", f"visit {name} located in {city} today"))
+        corpus.append((f"k{i:02d}", f"{name} has code {code} ."))
+        filler = " ".join(f"w{rng.randrange(10**6)}" for _ in range(rng.randrange(1, 3)))
+        corpus.append((f"t{i:02d}", f"{tag} {filler} {name}"))
+    codes = tmp_path / "code.dict"
+    codes.write_text("\n".join(r[2] for r in rows[::2]) + "\n\n  C99  \n", encoding="utf-8")
+    config = RunConfig(pattern_support=2, sample=4, pages=2, dictionaries={"Code": str(codes)})
+    return table, RuleSet.estimate(rules, table), config, LocalCorpusProvider(corpus)
+
+
+def _sweep_points(monkeypatch, table, ruleset, config, provider, ratios, seeds):
+    """``(ratio, seed, imputed CSV + report or MaskError text)`` of every point of a sweep."""
+    texts = []
+    inner = evalharness.impute
+
+    def recording(*args, **kwargs):
+        imputed, report = inner(*args, **kwargs)
+        texts.append(to_csv_text(imputed) + "\0" + report.to_json(include_timings=False))
+        return imputed, report
+
+    monkeypatch.setattr(evalharness, "impute", recording)
+    result = sweep(table, ruleset, config, provider, ratios, seeds, protected=["Name"])
+    monkeypatch.setattr(evalharness, "impute", inner)
+    points = iter(texts)
+    return [
+        (row.ratio, row.seed, row.error if row.metrics is None else next(points))
+        for row in result.rows
+    ]
+
+
+def _fresh_points(table, ruleset, config, provider, ratios, seeds):
+    """The same points, each from its own ``impute`` call with its own memo."""
+    out = []
+    for ratio in ratios:
+        for seed in seeds:
+            try:
+                masked, _ = mask_random(
+                    table, MaskSpec(ratio, seed, frozenset({"Name"})), rules=ruleset.rules
+                )
+            except MaskError as exc:
+                out.append((ratio, seed, str(exc)))
+                continue
+            run_ruleset = RuleSet.estimate(ruleset.rules, masked)
+            imputed, report = impute(masked, run_ruleset, config, provider)
+            out.append((ratio, seed, to_csv_text(imputed) + "\0" + report.to_json(
+                include_timings=False
+            )))
+    return out
+
+
+RATIOS, SEEDS = [0.2, 0.5, 0.7], [1, 2, 3]
+
+
+class TestSweepMemo:
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "pattern-cache"])
+    @pytest.mark.parametrize("case", range(4))
+    def test_every_point_equals_a_fresh_run(self, case, cached, tmp_path, monkeypatch):
+        table, ruleset, config, provider = _memo_case(case, tmp_path)
+        cache = tmp_path / "patterns.json"
+        if cached:
+            config = replace(config, pattern_cache=str(cache))
+        shared = _sweep_points(monkeypatch, table, ruleset, config, provider, RATIOS, SEEDS)
+        cache.unlink(missing_ok=True)
+        fresh = _fresh_points(table, ruleset, config, provider, RATIOS, SEEDS)
+        assert [p[:2] for p in shared] == [(r, s) for r in RATIOS for s in SEEDS]
+        assert '"outcome": "filled-pattern"' in "".join(p[2] for p in shared)
+        assert '"outcome": "filled-keyword"' in "".join(p[2] for p in shared)
+        for got, want in zip(shared, fresh):
+            assert got == want, got[:2]
+
+    def test_live_provider_gets_the_queries_of_fresh_runs(self, tmp_path, monkeypatch):
+        table, ruleset, config, local = _memo_case(0, tmp_path)
+        swept, fresh = LiveCountingProvider(local), LiveCountingProvider(local)
+        _sweep_points(monkeypatch, table, ruleset, config, swept, RATIOS, SEEDS)
+        _fresh_points(table, ruleset, config, fresh, RATIOS, SEEDS)
+        assert swept.queries == fresh.queries
+        pure = CountingProvider(local)  # the same sweep shares answers when not live
+        _sweep_points(monkeypatch, table, ruleset, config, pure, RATIOS, SEEDS)
+        assert len(pure.queries) < len(fresh.queries)
+
+    def test_lone_impute_calls_share_no_memo(self, tmp_path):
+        table, ruleset, config, local = _memo_case(0, tmp_path)
+        masked, _ = mask_random(table, MaskSpec(0.5, 1, frozenset({"Name"})), rules=ruleset.rules)
+        provider = CountingProvider(local)
+        impute(masked, ruleset, config, provider)
+        first = list(provider.queries)
+        impute(masked, ruleset, config, provider)
+        assert first and provider.queries == first * 2

@@ -8,6 +8,7 @@ from webimpute import (
     build_dictionary,
     extract_by_keywords,
 )
+from webimpute.extract import dictionary_values
 from webimpute.tabular import MISSING
 from webimpute.textutil import tokenize
 
@@ -23,20 +24,21 @@ def doc(text, doc_id="d"):
 
 class TestDictionary:
     def test_built_from_table_values(self, nba_table):
-        d = build_dictionary(nba_table, "Location")
+        d = build_dictionary("Location", dictionary_values(nba_table, "Location"))
         assert set(d.entries) == {"SanFrancsicoCA", "OklahomaCityOK"}
 
     def test_empty_dictionary_warns(self, caplog):
         table = Table("t", ["A"], [[MISSING], [MISSING]])
         with caplog.at_level("WARNING"):
-            d = build_dictionary(table, "A")
+            d = build_dictionary("A", dictionary_values(table, "A"))
         assert d.entries == ()
         assert any("empty" in r.message for r in caplog.records)
 
     def test_extra_file_extends_entries(self, nba_table, tmp_path):
         extra = tmp_path / "loc.dict"
         extra.write_text("WheatonIL\n\nBostonMA\n", encoding="utf-8")
-        d = build_dictionary(nba_table, "Location", extra.read_text("utf-8").splitlines())
+        lines = extra.read_text("utf-8").splitlines()
+        d = build_dictionary("Location", dictionary_values(nba_table, "Location", lines))
         assert "WheatonIL" in d.entries and "BostonMA" in d.entries
         assert "SanFrancsicoCA" in d.entries
 
