@@ -10,10 +10,11 @@ mask (:class:`MaskError`), is recorded; any other error ends the sweep.
 The grid points of one ``sweep`` call share one :class:`SweepMemo`, which
 holds what does not depend on a point's mask: each dictionary file's lines,
 each ``Dictionary`` per (attribute, value set) and, for a provider that is
-not ``live`` (see ``SearchProvider``), each mined pattern list and each
-pattern extraction, keyed by its whole input.  So a point's table and report
-are those of a run of its own.  A live provider, such as ``HttpProvider``,
-shares no mining or extraction result.  The memo ends with the call.
+not ``live`` (see ``SearchProvider``), each query's answer, each mined
+pattern list and each pattern extraction, keyed by its whole input.  So a
+point's table and report are those of a run of its own.  A live provider,
+such as ``HttpProvider``, shares none of the last three.  The memo ends
+with the call: separate ``sweep`` calls share no answer.
 """
 
 from __future__ import annotations

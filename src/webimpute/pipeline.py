@@ -171,21 +171,27 @@ class RunReport:
 
 
 class _RetryingProvider:
-    """Gives a provider's retryable failures a few more attempts."""
+    """Gives a provider's retryable failures a few more attempts, and answers
+    a repeated query with a copy of its answer in ``answers``, unless None."""
 
-    def __init__(self, provider: SearchProvider, retries: int):
+    def __init__(self, provider: SearchProvider, retries: int, answers: dict | None):
         self._provider = provider
         self._retries = retries
-        self.live = getattr(provider, "live", False)
+        self._answers = answers
 
     def query(self, q: Query) -> list:
-        last: ProviderError | None = None
-        for _ in range(self._retries + 1):
+        if self._answers is not None and (found := self._answers.get(q)) is not None:
+            return list(found)
+        for attempt in range(self._retries + 1):
             try:
-                return self._provider.query(q)
-            except ProviderError as exc:
-                last = exc
-        raise last
+                found = self._provider.query(q)
+                break
+            except ProviderError:
+                if attempt == self._retries:
+                    raise
+        if self._answers is not None:
+            self._answers[q] = found
+        return list(found)
 
 
 _UNSET = object()
@@ -194,25 +200,36 @@ _UNSET = object()
 class SweepMemo:
     """Work that repeats across the imputation runs of one sweep, done once.
 
+    A memo serves the provider of its first run; another is a ``ValueError``.
     Each table is keyed by the whole input of the work it replaces: file
-    lines by path; a ``Dictionary`` by (attribute, value set); a pair's mined
-    patterns by (pair, mining sample values, support, sample, pages,
-    ``max_gap``); the first ``(pattern, value)`` a pair's patterns extract,
-    or None, by (pattern list, dictionary, pages, ``max_gap``) and then by
-    known value, so a cell pays one lookup per source attribute.  Pattern
-    lists are interned by content; the extraction key names a list and a
-    dictionary by identity, which is sound as the memo keeps both alive.
-    Mining and extraction results are kept only for a provider that is not
-    ``live`` (see ``SearchProvider``); errors never are.  A miss calls this
-    module's ``build_dictionary``, ``mine_patterns`` or ``extract_by_pattern``.
+    lines by path; a ``Dictionary`` by (attribute, value set); a provider's
+    answer by ``Query``; a pair's mined patterns by (pair, mining sample
+    values, support, sample, pages, ``max_gap``); the first ``(pattern,
+    value)`` a pair's patterns extract, or None, by (patterns, dictionary,
+    pages, ``max_gap``) and then by known value, so a cell pays one lookup
+    per source attribute.  Answers, mining and extraction results are kept
+    only for a provider that is not ``live`` (see ``SearchProvider``);
+    errors never are.  A miss asks the provider or calls this module's
+    ``build_dictionary``, ``mine_patterns`` or ``extract_by_pattern``.
     """
 
     def __init__(self) -> None:
+        self._provider: SearchProvider | None = None
+        self._live = False
         self._lines: dict[str, list[str]] = {}
         self._dictionaries: dict[tuple[str, frozenset[str]], Dictionary] = {}
-        self._interned: dict[tuple[Pattern, ...], tuple[Pattern, ...]] = {}
+        self._answers: dict[Query, list] = {}
         self._mined: dict[tuple, tuple[Pattern, ...]] = {}
         self._fills: dict[tuple, dict[str, tuple[Pattern, str] | None]] = {}
+
+    def provider(self, provider: SearchProvider, retries: int) -> _RetryingProvider:
+        """``provider`` with ``retries`` and, unless it is live, this memo's answers."""
+        if self._provider is None:
+            self._provider = provider
+            self._live = getattr(provider, "live", False)
+        elif provider is not self._provider:
+            raise ValueError("a SweepMemo serves the one provider of its first run")
+        return _RetryingProvider(provider, retries, None if self._live else self._answers)
 
     def lines(self, path: str) -> list[str]:
         if (lines := self._lines.get(path)) is None:
@@ -225,10 +242,6 @@ class SweepMemo:
             found = self._dictionaries[key] = build_dictionary(*key)
         return found
 
-    def intern(self, patterns: list[Pattern]) -> tuple[Pattern, ...]:
-        patterns = tuple(patterns)
-        return self._interned.setdefault(patterns, patterns)
-
     def mine(
         self, provider: _RetryingProvider, table: Table, pair: tuple[str, str], config: RunConfig
     ) -> tuple[Pattern, ...]:
@@ -237,10 +250,10 @@ class SweepMemo:
         key = (pair, mining_sample(table, pair, config.sample), counts)
         if (found := self._mined.get(key)) is None:
             try:
-                found = self.intern(mine_patterns(provider, table, pair, *counts))
+                found = tuple(mine_patterns(provider, table, pair, *counts))
             except MiningError:
                 found = ()
-            if not provider.live:
+            if not self._live:
                 self._mined[key] = found
         return found
 
@@ -251,11 +264,9 @@ class SweepMemo:
         provider: _RetryingProvider,
         config: RunConfig,
     ) -> Callable[[str], tuple[Pattern, str] | None]:
-        """known value -> the first ``(pattern, value)`` that a pair's interned
-        ``patterns`` extract through its sink's interned ``dictionary``, or None."""
-        done = self._fills.setdefault(
-            (id(patterns), id(dictionary), config.pages, config.max_gap), {}
-        )
+        """known value -> the first ``(pattern, value)`` that a pair's
+        ``patterns`` extract through its sink's ``dictionary``, or None."""
+        done = self._fills.setdefault((patterns, dictionary, config.pages, config.max_gap), {})
 
         def first_fill(known_value: str) -> tuple[Pattern, str] | None:
             if (found := done.get(known_value, _UNSET)) is _UNSET:
@@ -267,7 +278,7 @@ class SweepMemo:
                     if value is not None:
                         found = pattern, value
                         break
-                if not provider.live:
+                if not self._live:
                     done[known_value] = found
             return found
 
@@ -287,20 +298,20 @@ def _mine_needed_patterns(
         for pattern in load_patterns(cache_path):
             mined.setdefault((pattern.attr1, pattern.attr2), []).append(pattern)
         log.info("loaded %d cached pattern pairs from %s", len(mined), cache_path)
-    interned = {pair: memo.intern(patterns) for pair, patterns in mined.items()}
+    found = {pair: tuple(patterns) for pair, patterns in mined.items()}
     for pair in pairs:
-        if pair in interned:
+        if pair in found:
             continue
         try:
-            interned[pair] = memo.mine(provider, table, pair, config)
+            found[pair] = memo.mine(provider, table, pair, config)
         except ProviderError as exc:
             log.warning("pattern mining for %s failed: %s", pair, exc)
-            interned[pair] = ()
+            found[pair] = ()
     if cache_path is not None:
-        flat = [p for patterns in interned.values() for p in patterns]
+        flat = [p for patterns in found.values() for p in patterns]
         flat.sort(key=lambda p: (p.attr1, p.attr2, -p.support, " ".join(p.context)))
         save_patterns(flat, cache_path)
-    return interned
+    return found
 
 
 def _extract_cell(
@@ -351,8 +362,8 @@ def impute(
 ) -> tuple[Table, RunReport]:
     """Run the full flow and report one outcome per initially-missing cell.
 
-    ``memo`` holds work shared with other runs on the same provider and
-    corpus (see :class:`SweepMemo`); by default the run has its own.
+    ``memo`` holds work shared with other runs on the same provider (see
+    :class:`SweepMemo`); by default the run has its own.
     """
     for named, attrs in [
         ("rules reference", ruleset.referenced_attrs()), ("dictionaries name", config.dictionaries)
@@ -361,10 +372,10 @@ def impute(
             raise ValueError(f"{named} attributes not in table: {', '.join(unknown)}")
     if memo is None:
         memo = SweepMemo()
+    provider = memo.provider(provider, config.query_retries)
     extra_entries = {a: memo.lines(path) for a, path in config.dictionaries.items()}
     t_start = time.perf_counter()
     initial_missing = list(table.missing_cells())
-    provider = _RetryingProvider(provider, config.query_retries)
 
     graph = build_dependency_graph(ruleset)
     internal_table, decisions = impute_internal(

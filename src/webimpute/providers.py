@@ -15,8 +15,6 @@ A page that matches two or more keywords lies on one of the shorter match
 lists, so those are scored exactly; the rest of the result is score-1 pages
 in index order, and the first ``n`` of them lie within the first ``k``
 entries of each list, which is all a query reads of its longest list.
-A local result is a pure function of (corpus, query), so it is memoised per
-``Query``; an HTTP result is not, as a live page can change.
 """
 
 from __future__ import annotations
@@ -74,9 +72,10 @@ class SearchProvider(Protocol):  # pragma: no cover - structural type only
     A provider whose answer to a query may change from one call to the next,
     such as a live web search, sets the class attribute ``live = True``.  A
     provider without it declares its answer a pure function of the query, so
-    the grid points of one sweep share mined patterns and pattern
-    extractions instead of asking it again; a live provider is asked every
-    time, as by runs that share nothing.
+    an imputation run reuses its answer to a repeated query, and the grid
+    points of one sweep share those answers, mined patterns and pattern
+    extractions instead of asking it again.  A live provider is asked every
+    time, within a run too, as by runs that share nothing.
     """
 
     def query(self, q: Query) -> list[Document]:
@@ -139,11 +138,6 @@ class LocalCorpusProvider:
 
     The steps hold for any number of keywords, so there is one path: with
     one, step 2 counts nothing and step 3 reads the first ``k`` entries.
-
-    Each distinct ``Query`` is ranked once: its list of at most ``pages *
-    page_size`` indexed ``Document``s is kept for the provider's lifetime, and
-    a repeat returns a copy of it.  ``HttpProvider`` keeps no such memo: a
-    live page can change, and every request is a web access the method counts.
     """
 
     def __init__(self, docs: Iterable[tuple[str, str]], page_size: int = PAGE_SIZE):
@@ -161,7 +155,6 @@ class LocalCorpusProvider:
         self._documents: list[Document] | None = None
         self._postings: dict[str, list[int]] = {}
         self._matches: dict[tuple[str, ...], list[int]] = {}
-        self._results: dict[Query, list[Document]] = {}
 
     @classmethod
     def from_jsonl(cls, path: str | Path, page_size: int = PAGE_SIZE) -> "LocalCorpusProvider":
@@ -192,12 +185,6 @@ class LocalCorpusProvider:
         return found
 
     def query(self, q: Query) -> list[Document]:
-        found = self._results.get(q)
-        if found is None:  # racing threads store equal lists, so no lock
-            found = self._results[q] = self._rank(q)
-        return list(found)
-
-    def _rank(self, q: Query) -> list[Document]:
         docs = self._index()
         needles = dict.fromkeys([tokenize(kw) for kw in q.keywords])
         needles.pop((), None)

@@ -44,6 +44,12 @@ class CountingProvider:
         return self.inner.query(q)
 
 
+class LiveCountingProvider(CountingProvider):
+    """A ``CountingProvider`` whose answers a run must not reuse."""
+
+    live = True
+
+
 def bayes_joints_oracle(table: Table, ruleset: RuleSet, row: int, attr: str):
     """``(rule, {candidate: joint})`` for one missing cell, or None.
 

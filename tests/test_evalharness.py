@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 import webimpute.evalharness as evalharness
-from oracles import CountingProvider, make_table
+from oracles import CountingProvider, LiveCountingProvider, make_table
 from webimpute import (
     LocalCorpusProvider,
     MaskedCell,
@@ -167,10 +167,6 @@ def test_filling_ratio_non_decreasing_in_pages(tiny_setup):
     assert ratios == sorted(ratios)
 
 
-class LiveCountingProvider(CountingProvider):
-    live = True
-
-
 def _memo_case(seed, tmp_path):
     """A complete table, its rules, a corpus and a config for a random sweep.
 
@@ -267,9 +263,12 @@ class TestSweepMemo:
         _sweep_points(monkeypatch, table, ruleset, config, swept, RATIOS, SEEDS)
         _fresh_points(table, ruleset, config, fresh, RATIOS, SEEDS)
         assert swept.queries == fresh.queries
-        pure = CountingProvider(local)  # the same sweep shares answers when not live
+        # the same sweep asks a provider that is not live each distinct Query
+        # (one config, so one page budget) once, in first-ask order
+        pure = CountingProvider(local)
         _sweep_points(monkeypatch, table, ruleset, config, pure, RATIOS, SEEDS)
         assert len(pure.queries) < len(fresh.queries)
+        assert pure.queries == list(dict.fromkeys(fresh.queries))
 
     def test_lone_impute_calls_share_no_memo(self, tmp_path):
         table, ruleset, config, local = _memo_case(0, tmp_path)

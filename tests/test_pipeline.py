@@ -1,20 +1,37 @@
 import copy
 import json
+import random
 from dataclasses import replace
 
 import pytest
 
-from oracles import CountingProvider, make_table
+import webimpute.pipeline as pipeline
+from oracles import (
+    CountingProvider,
+    LiveCountingProvider,
+    frequent_corpus_case,
+    make_table,
+    scan_query_oracle,
+    tied_corpus_case,
+)
 from webimpute import (
     MISSING,
     LocalCorpusProvider,
     ProviderError,
+    Query,
     RuleSet,
     RunConfig,
     impute,
     parse_rules,
 )
-from webimpute.pipeline import ABSTAINED, FILLED_INTERNAL, FILLED_KEYWORD, FILLED_PATTERN
+from webimpute.pipeline import (
+    ABSTAINED,
+    FILLED_INTERNAL,
+    FILLED_KEYWORD,
+    FILLED_PATTERN,
+    SweepMemo,
+)
+from webimpute.tabular import to_csv_text
 
 
 class FailingProvider:
@@ -377,3 +394,73 @@ def test_config_default_pattern_support_tracks_page_budget():
 def test_config_from_dict_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config"):
         RunConfig.from_dict({"nope": 1})
+
+
+def test_a_run_asks_each_distinct_query_once(nba_table, nba_ruleset, nba_provider, nba_config):
+    # a live provider is asked every time; one that is not live is asked each
+    # distinct Query once (one config, so one page budget), in first-ask order
+    live = LiveCountingProvider(nba_provider)
+    table, report = impute(nba_table, nba_ruleset, nba_config, live)
+    pure = CountingProvider(nba_provider)
+    again, again_report = impute(nba_table, nba_ruleset, nba_config, pure)
+    assert len(live.queries) > len(set(live.queries))
+    assert pure.queries == list(dict.fromkeys(live.queries))
+    assert to_csv_text(again) == to_csv_text(table)
+    assert again_report.to_json(include_timings=False) == report.to_json(include_timings=False)
+
+
+def test_a_mutated_answer_leaves_the_next_unchanged(
+    nba_table, nba_ruleset, nba_provider, nba_config, monkeypatch
+):
+    # each caller gets a list of its own: emptying one changes neither the
+    # answer to the next ask nor the run's result
+    table, report = impute(nba_table, nba_ruleset, nba_config, nba_provider)
+    query = pipeline._RetryingProvider.query
+
+    def emptied_first(self, q):
+        query(self, q).clear()
+        return query(self, q)
+
+    monkeypatch.setattr(pipeline._RetryingProvider, "query", emptied_first)
+    again, again_report = impute(nba_table, nba_ruleset, nba_config, nba_provider)
+    assert to_csv_text(again) == to_csv_text(table)
+    assert again_report.to_json(include_timings=False) == report.to_json(include_timings=False)
+
+
+def test_memoised_answers_match_scan_oracle():
+    # each query is asked two or three times in random order, and at another
+    # page budget too, which is another question with a longer or shorter answer
+    rng = random.Random(20261027)
+    budgets_differ = 0
+    for case in [frequent_corpus_case] * 100 + [tied_corpus_case] * 100:
+        docs, q, page_size = case(rng)
+        queries = [q, case(rng)[1]]
+        queries += [Query(x.keywords, x.pages % 3 + 1) for x in queries]
+        asked = queries * 2 + rng.choices(queries, k=3)
+        rng.shuffle(asked)
+        local = CountingProvider(LocalCorpusProvider(docs, page_size=page_size))
+        provider = SweepMemo().provider(local, 0)
+        for x in asked:
+            assert provider.query(x) == scan_query_oracle(docs, x, page_size)
+        assert len(local.queries) == len(set(asked))
+        budgets_differ += scan_query_oracle(docs, q, page_size) != scan_query_oracle(
+            docs, queries[2], page_size
+        )
+    assert budgets_differ >= 100, budgets_differ
+
+
+def test_a_memo_serves_only_the_provider_of_its_first_run(
+    nba_table, nba_ruleset, nba_provider, nba_config
+):
+    # a memo that had served the NBA corpus used to hand its mined patterns
+    # to a run on an empty corpus, which then filled two cells by pattern
+    memo = SweepMemo()
+    impute(nba_table, nba_ruleset, nba_config, nba_provider, memo=memo)
+    empty = CountingProvider(LocalCorpusProvider([]))
+    with pytest.raises(ValueError, match="provider of its first run"):
+        impute(nba_table, nba_ruleset, nba_config, empty, memo=memo)
+    assert empty.queries == []
+    _, report = impute(nba_table, nba_ruleset, nba_config, empty)
+    assert report.counts[FILLED_PATTERN] == 0
+    _, report = impute(nba_table, nba_ruleset, nba_config, nba_provider, memo=memo)
+    assert report.counts[FILLED_PATTERN] == 2
