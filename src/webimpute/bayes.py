@@ -22,14 +22,15 @@ candidate set and the best candidate is written back when its posterior
 reaches the threshold; otherwise the cell abstains and is left for web-based
 imputation.
 
-Every candidate is reported, most of them with a zero joint.  Those zero
-scores are built once per count table and round (``zero_scores``).  The
-nonzero scores and the chosen value depend only on the count table and the
-evidence values, so they are scored once per distinct evidence and round, one
-new :class:`CandidateScore` per nonzero joint, and shared by every decision
-with that evidence.  Evidence repeats exactly where phase 1 can fill: an FD
-fills a cell only from tuples that share its LHS values.  A decision copies
-the zero template into its own list and writes in the shared nonzero scores.
+Every candidate is reported, most of them with a zero joint.  The nonzero
+scores and the chosen value depend only on the count table and the evidence
+values, so they are scored once per distinct evidence and round, one
+:class:`CandidateScore` per nonzero joint.  Evidence repeats exactly where
+phase 1 can fill: an FD fills a cell only from tuples that share its LHS
+values.  A decision holds, and never copies, its count table's sorted
+candidates (``values``, shared by every decision of the round drawn from the
+table) and its evidence's nonzero scores (``scores``, shared by every such
+decision with that evidence); :meth:`BayesDecision.to_dict` writes the zeros.
 
 The table is swept repeatedly (a fill can unlock evidence for another cell)
 until a sweep fills nothing or ``max_rounds`` is hit.  A round's fills go
@@ -40,7 +41,6 @@ they write, and the next round sweeps only the cells the round left missing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .depgraph import DependencyGraph, RuleApplication
 from .rules import tally
@@ -63,30 +63,33 @@ class BayesDecision:
 
     ``chosen`` is the filled value, or :data:`ABSTAIN` (None) when the best
     posterior fell short of ``threshold`` or no rule was applicable
-    (``rule_id`` None, empty candidates).
+    (``rule_id`` None, no values).
 
-    ``candidates`` holds one score per candidate in sorted order.  The list is
-    the decision's own, but its entries are frozen objects: the zero-joint
-    ones shared by every decision of the round drawn from the same count
-    table, the nonzero ones by every such decision with the same evidence.
+    ``values`` is the count table's sorted candidates, one tuple shared by
+    every decision of the round drawn from that table.  ``scores`` holds the
+    nonzero-joint candidates' scores in the same order, one tuple shared by
+    every such decision with the same evidence; every other value scores 0.
     """
 
     row: int
     attr: str
     rule_id: str | None
-    candidates: list[CandidateScore]
+    values: tuple[str, ...]
+    scores: tuple[CandidateScore, ...]
     chosen: str | None
     threshold: float
 
     def to_dict(self) -> dict:
+        scored = {c.value: (c.joint, c.posterior) for c in self.scores}
+        candidates = []
+        for d in self.values:  # a value without a score has a zero joint
+            joint, posterior = scored.get(d, (0.0, 0.0))
+            candidates.append({"value": d, "joint": joint, "posterior": posterior})
         return {
             "row": self.row,
             "attr": self.attr,
             "rule_id": self.rule_id,
-            "candidates": [
-                {"value": c.value, "joint": c.joint, "posterior": c.posterior}
-                for c in self.candidates
-            ],
+            "candidates": candidates,
             "chosen": self.chosen,
             "threshold": self.threshold,
         }
@@ -100,7 +103,7 @@ class _FrequencyCounts:
     (target, evidence) values, one step per distinct combination, not per row.
     """
 
-    candidates: list[str]  # sorted present target values over the condition rows
+    candidates: tuple[str, ...]  # sorted present target values over the condition rows
     total: int  # condition rows complete on the target and every evidence attr
     target: dict[str, int]  # candidate -> n, over those ``total`` rows
     pair: dict[tuple[str, str], dict[str, int]]  # (evidence attr, value) -> {candidate: n}
@@ -128,17 +131,7 @@ class _FrequencyCounts:
             for key in zip(evidence_attrs, values):
                 counts = pair.setdefault(key, {})
                 counts[d] = counts.get(d, 0) + n
-        return cls(sorted(present), total, target, pair)
-
-    @cached_property
-    def zero_scores(self) -> tuple[CandidateScore, ...]:
-        """A zero score per candidate, in order: the template of every decision."""
-        return tuple(CandidateScore(d, 0.0, 0.0) for d in self.candidates)
-
-    @cached_property
-    def position(self) -> dict[str, int]:
-        """Candidate -> index in :attr:`candidates`."""
-        return {d: i for i, d in enumerate(self.candidates)}
+        return cls(tuple(sorted(present)), total, target, pair)
 
     def joints(self, evidence: tuple[tuple[str, str], ...]) -> dict[str, float]:
         """The nonzero joints P(d) * prod P(v | d), by candidate.
@@ -179,11 +172,7 @@ def _decide_cell(
     if scoring is None:
         scoring = _score(counts, evidence, k)
         cache[(key, evidence)] = scoring
-    scored, chosen = scoring
-    candidates = list(counts.zero_scores)
-    for score in scored:
-        candidates[counts.position[score.value]] = score
-    return BayesDecision(row, attr, app.rule_id, candidates, chosen, k)
+    return BayesDecision(row, attr, app.rule_id, counts.candidates, *scoring, k)
 
 
 def _score(
@@ -251,7 +240,7 @@ def impute_internal(
                         decision = _decide_cell(current, row, app, evidence, k, cache)
                         break
             else:
-                decision = BayesDecision(row, attr, None, [], ABSTAIN, k)
+                decision = BayesDecision(row, attr, None, (), (), ABSTAIN, k)
             (abstains if decision.chosen is None else fill_decisions).append(decision)
         if len(fill_decisions) == start:
             break

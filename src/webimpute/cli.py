@@ -324,6 +324,7 @@ def _cmd_mask(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _check_outputs(args.report)
     imputed = load_table(args.table)
     truth = read_ground_truth(args.truth)
     metrics = asdict(evaluate(truth, imputed))
@@ -350,6 +351,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_sdg(args) -> int:
+    _check_outputs(args.dot)
     table = load_table(args.table)
     ruleset = RuleSet.estimate(parse_rules_file(args.rules), table)
     graph = build_dependency_graph(ruleset)

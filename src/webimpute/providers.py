@@ -7,7 +7,9 @@ a JSON-Lines corpus deterministically and is what tests and experiments run
 against; :class:`HttpProvider` is a thin live HTTP client (one GET per
 distinct page URL, tags stripped, no engine-specific parsing) whose failures
 surface as :class:`ProviderError` so a pipeline can record the cell as
-unfilled instead of crashing.
+unfilled instead of crashing: an ``OSError`` (a ``URLError`` or a timeout),
+a ``ValueError`` or an ``http.client.HTTPException`` (an ``IncompleteRead``
+body shorter than its ``Content-Length``, an ``InvalidURL``).
 
 The local provider keeps the top ``k = pages * page_size`` documents without
 scoring every match (MaxScore-style pruning: Turtle and Flood, IP&M 1995).
@@ -20,11 +22,11 @@ entries of each list, which is all a query reads of its longest list.
 from __future__ import annotations
 
 import html
+import http.client
 import json
 import re
 import threading
 import time
-import urllib.error
 import urllib.parse
 import urllib.request
 from bisect import bisect_left
@@ -236,6 +238,8 @@ class HttpProvider:
     ):
         if "{query}" not in url_template:
             raise ValueError("url_template must contain a {query} placeholder")
+        if re.search(r"[\x00-\x20\x7f]", url_template):  # every GET would fail
+            raise ValueError("url_template must not hold whitespace or control characters")
         check_count("delay_ms", delay_ms, least=0)
         check_count("timeout_ms", timeout_ms)
         if type(user_agent) is not str:
@@ -265,7 +269,7 @@ class HttpProvider:
                         request, timeout=self.timeout_ms / 1000.0
                     ) as resp:
                         body = resp.read().decode("utf-8", errors="replace")
-                except (urllib.error.URLError, OSError, ValueError) as exc:
+                except (OSError, ValueError, http.client.HTTPException) as exc:
                     raise ProviderError(f"GET {url} failed: {exc}") from exc
                 finally:
                     self._last_request = time.monotonic()

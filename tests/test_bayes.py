@@ -41,8 +41,13 @@ def decision_for(decisions, row, attr):
     return decision
 
 
+def candidates(decision):
+    """The decision's (value, joint, posterior) list, as its report writes it."""
+    return [(c["value"], c["joint"], c["posterior"]) for c in decision.to_dict()["candidates"]]
+
+
 def joints(decision):
-    return {c.value: c.joint for c in decision.candidates}
+    return {value: joint for value, joint, _ in candidates(decision)}
 
 
 class TestCandidates:
@@ -66,7 +71,7 @@ class TestCandidates:
         table = make_table(["A", "B"], [["a1", MISSING], ["a2", MISSING]])
         _, graph = setup_ruleset("r: A -> B", table)
         _, decisions = impute_internal(table, graph, 0.5)
-        assert [(d.rule_id, d.candidates) for d in decisions] == [("r", []), ("r", [])]
+        assert [(d.rule_id, candidates(d)) for d in decisions] == [("r", []), ("r", [])]
 
 
 class TestScore:
@@ -140,7 +145,7 @@ class TestImputeInternal:
         assert filled.cell(2, "B") is MISSING
         (decision,) = decisions
         assert decision.chosen is None
-        assert {c.value: c.posterior for c in decision.candidates} == {
+        assert {value: posterior for value, _, posterior in candidates(decision)} == {
             "b1": 0.5, "b2": 0.5,
         }
 
@@ -170,7 +175,7 @@ class TestImputeInternal:
         _, first_round = impute_internal(table, graph, 0.5, max_rounds=1)
         row3_first = decision_for(first_round, 3, "City")
         assert row3_first.rule_id == "c"
-        assert [c.value for c in row3_first.candidates] == ["Atlanta"]
+        assert list(joints(row3_first)) == ["Atlanta"]
         filled, decisions = impute_internal(table, graph, 0.5)
         chosen = {(d.row, d.attr): d.chosen for d in decisions if d.chosen}
         assert chosen == internal_fills_oracle(table, ruleset, 0.5, max_rounds=10)
@@ -183,7 +188,7 @@ class TestImputeInternal:
         }
         row3 = next(d for d in decisions if (d.row, d.attr) == (3, "City"))
         assert row3.rule_id == "c"
-        assert [c.value for c in row3.candidates] == ["Atlanta", "Brooklyn"]
+        assert list(joints(row3)) == ["Atlanta", "Brooklyn"]
 
     def test_tie_breaks_lexicographically(self):
         table = make_table(
@@ -212,9 +217,9 @@ class TestImputeInternal:
     def test_posteriors_sum_to_one_when_scored(self, nba_table, nba_ruleset, nba_graph):
         _, decisions = impute_internal(nba_table, nba_graph, 0.5)
         for d in decisions:
-            total_joint = sum(c.joint for c in d.candidates)
+            total_joint = sum(joint for _, joint, _ in candidates(d))
             if total_joint > 0:
-                assert sum(c.posterior for c in d.candidates) == pytest.approx(1.0)
+                assert sum(posterior for _, _, posterior in candidates(d)) == pytest.approx(1.0)
 
     def test_deterministic(self, nba_table, nba_ruleset, nba_graph):
         a = impute_internal(nba_table, nba_graph, 0.5)
@@ -242,13 +247,15 @@ class TestImputeInternal:
         filled, decisions = impute_internal(table, graph, 0.5)
         assert filled.cell(1000, "X") is MISSING
         assert decisions == [
-            BayesDecision(1000, "X", "r", [CandidateScore("x1", 0.0, 0.0)], None, 0.5)
+            BayesDecision(1000, "X", "r", ("x1",), (), None, 0.5)
         ]
 
-    def test_decisions_sharing_a_count_table_own_their_candidates(self):
+    def test_decisions_sharing_a_count_table_share_its_candidates(self):
         # rows 3-7 are decided from one count table in one round: rows 3 and
         # 6 from the same evidence, with a nonzero joint, rows 4, 5 and 7 with
-        # every joint zero, 4 and 7 from the same evidence
+        # every joint zero, 4 and 7 from the same evidence.  Every decision
+        # holds the table's values and its evidence's scores, not a copy;
+        # tuples, so no decision can change what another reports.
         table = make_table(
             ["A", "B"],
             [
@@ -262,23 +269,19 @@ class TestImputeInternal:
         assert [(d.row, d.chosen) for d in decisions] == [
             (3, "b1"), (6, "b1"), (4, None), (5, None), (7, None),
         ]
-        expected = [d.to_dict() for d in decisions]
-        filled, twin, zero, other_zero, zero_twin = decisions
-        zero.candidates.clear()
-        filled.candidates[0] = CandidateScore("b1", 0.5, 0.5)
-        filled.candidates[1] = CandidateScore("b2", 1.0, 1.0)
-        assert twin.to_dict() == expected[1]
-        assert other_zero.to_dict() == expected[3]
-        assert zero_twin.to_dict() == expected[4]
-        other_zero.candidates[0] = CandidateScore("b1", 1.0, 1.0)
-        twin.candidates.append(CandidateScore("b3", 0.0, 0.0))
+        filled, twin, zero, _, _ = decisions
+        assert all(d.values is filled.values for d in decisions)
+        assert twin.scores is filled.scores
+        assert candidates(twin) == [("b1", 2 / 3, 1.0), ("b2", 0.0, 0.0)]
+        assert candidates(zero) == [("b1", 0.0, 0.0), ("b2", 0.0, 0.0)]
         _, again = impute_internal(table, graph, 0.5, max_rounds=1)
-        assert [d.to_dict() for d in again] == expected
+        assert [d.to_dict() for d in again] == [d.to_dict() for d in decisions]
 
-    def test_zero_scores_are_built_once_per_count_table(self, tmp_path, monkeypatch):
-        # 1000 university rows, 900 masked cells: every decision of a round
-        # copies one zero template per rule, so the scores built grow with
-        # the nonzero joints, not with rows x masked cells (one score per
+    def test_scores_are_built_only_for_nonzero_joints(self, tmp_path, monkeypatch):
+        # 1000 university rows, 900 masked cells: a decision shares its count
+        # table's values and scores only its evidence's nonzero joints, once
+        # per distinct evidence and round, so the scores built grow with the
+        # nonzero joints, not with rows x masked cells (one score per
         # candidate and cell would be 276,916)
         paths = write_university_fixture(tmp_path, rows=1000, seed=7)
         table = load_table(paths["table"])
@@ -316,12 +319,12 @@ def test_derived_fixture_matches_oracle():
     ruleset, graph = setup_ruleset("r: P, Q -> X", table)
     filled, (decision,) = impute_internal(table, graph, 0.5)
     assert filled.cell(5, "X") == bayes_oracle(table, ruleset, 5, "X", 0.5) == "x1"
-    joints = {c.value: c.joint for c in decision.candidates}
+    scores = joints(decision)
     # by direct counting over the 5 complete rows:
     # P(x1)=2/5, P(p1|x1)=1, P(q1|x1)=1 -> 0.4
     # P(x2)=3/5, P(p1|x2)=1/3, P(q1|x2)=1/3 -> 1/15
-    assert joints["x1"] == pytest.approx(0.4)
-    assert joints["x2"] == pytest.approx(1 / 15)
+    assert scores["x1"] == pytest.approx(0.4)
+    assert scores["x2"] == pytest.approx(1 / 15)
 
 
 def test_random_cases_agree_with_oracle():
@@ -335,8 +338,9 @@ def test_random_cases_agree_with_oracle():
 
 
 def test_count_table_matches_oracle_on_random_tables():
-    # Candidates, joints and posteriors of every decision equal the oracle's
-    # bit for bit, over chained rounds.
+    # The serialised candidates of every decision, zeros included and in
+    # order, equal the oracle's joints and posteriors bit for bit, over
+    # chained rounds.
     rng = random.Random(20261018)
     seen = Counter()
     for _ in range(500):
@@ -348,7 +352,7 @@ def test_count_table_matches_oracle_on_random_tables():
             for d in decisions:
                 found = bayes_joints_oracle(table, ruleset, d.row, d.attr)
                 if found is None:
-                    assert (d.rule_id, d.candidates, d.chosen) == (None, [], None)
+                    assert (d.rule_id, candidates(d), d.chosen) == (None, [], None)
                     continue
                 rule, joints = found
                 setting = (rule.condition, d.attr, rule.lhs)
@@ -358,9 +362,7 @@ def test_count_table_matches_oracle_on_random_tables():
                 total = sum(joints.values())
                 posteriors = [j / total if total > 0 else 0.0 for j in joints.values()]
                 assert d.rule_id == rule.id
-                assert [c.value for c in d.candidates] == list(joints)
-                assert [c.joint for c in d.candidates] == list(joints.values())
-                assert [c.posterior for c in d.candidates] == posteriors
+                assert candidates(d) == list(zip(joints, joints.values(), posteriors))
                 assert d.chosen == bayes_oracle(table, ruleset, d.row, d.attr, k)
 
                 needed = (d.attr,) + rule.lhs
@@ -396,7 +398,7 @@ def test_count_table_build_matches_row_scan_oracle():
         table, attr, evidence, condition = random_count_table_case(rng)
         counts = _FrequencyCounts.build(table, attr, evidence, condition)
         candidates, total, target, pair = count_table_oracle(table, attr, evidence, condition)
-        assert counts.candidates == candidates
+        assert counts.candidates == tuple(candidates)
         assert counts.total == total
         assert counts.target == target and list(counts.target) == list(target)
         assert counts.pair == pair

@@ -520,6 +520,39 @@ def test_mask_checks_its_truth_path_before_writing_the_table(tmp_path, capsys):
     _assert_fails_before_querying(argv, bad, [], capsys, [out])
 
 
+def test_eval_checks_its_report_path_before_reading_its_inputs(tmp_path, capsys):
+    bad = tmp_path / "nodir" / "m.json"
+    argv = [
+        "eval", "--table", str(tmp_path / "missing.csv"),
+        "--truth", str(tmp_path / "t.json"), "--report", str(bad),
+    ]
+    _assert_fails_before_querying(argv, bad, [], capsys)
+
+
+def test_sdg_checks_its_dot_path_before_reading_its_inputs(tmp_path, capsys):
+    bad = tmp_path / "nodir" / "g.dot"
+    argv = [
+        "sdg", "--rules", str(tmp_path / "missing.rules"),
+        "--table", str(tmp_path / "missing.csv"), "--dot", str(bad),
+    ]
+    _assert_fails_before_querying(argv, bad, [], capsys)
+
+
+def test_url_template_with_whitespace_is_usage_error(tmp_path, capsys):
+    # every GET of it would fail; rejected before the table is read
+    out = tmp_path / "o.csv"
+    code = run(
+        "impute", "--table", str(tmp_path / "missing.csv"), "--rules", str(DATA / "nba.rules"),
+        "--url-template", "http://127.0.0.1:9/s?q={query} x", "--out", str(out),
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "error: bad http provider settings: "
+        "url_template must not hold whitespace or control characters\n"
+    )
+    assert not out.exists()
+
+
 def test_log_level_controls_stderr(tmp_path, capsys):
     cache = tmp_path / "patterns.json"
     args = [

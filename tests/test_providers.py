@@ -14,7 +14,15 @@ from oracles import (
     scan_ranking_oracle,
     tied_corpus_case,
 )
-from webimpute import Document, HttpProvider, LocalCorpusProvider, ProviderError, Query
+from webimpute import (
+    Document,
+    HttpProvider,
+    LocalCorpusProvider,
+    ProviderError,
+    Query,
+    impute,
+)
+from webimpute.pipeline import ABSTAINED, FILLED_INTERNAL
 from webimpute.providers import load_corpus, strip_tags
 from webimpute.textutil import tokenize
 
@@ -285,6 +293,12 @@ class TestHttpProvider:
         with pytest.raises(ValueError):
             HttpProvider("http://example.com/search")
 
+    def test_template_with_whitespace_or_control_characters_is_rejected(self):
+        # http.client refuses such a URL at every request (InvalidURL)
+        for bad in (" x", "\t", "\n", "\x00", "\x7f"):
+            with pytest.raises(ValueError, match="whitespace or control characters"):
+                HttpProvider("http://127.0.0.1:9/s?q={query}" + bad)
+
     def test_unreachable_host_raises_provider_error(self):
         provider = HttpProvider(
             "http://127.0.0.1:9/search?q={query}", delay_ms=0, timeout_ms=500
@@ -322,6 +336,28 @@ class TestHttpProvider:
         (doc,) = single.query(Query(("alpha",), pages=3))
         assert requests == ["/?q=alpha"] and doc.id.endswith("/?q=alpha")
 
+    @pytest.mark.parametrize("http_server", ["truncated"], indirect=True)
+    def test_truncated_body_raises_provider_error(self, http_server):
+        port, _ = http_server
+        provider = HttpProvider(f"http://127.0.0.1:{port}/?q={{query}}", delay_ms=0)
+        with pytest.raises(ProviderError, match="IncompleteRead"):
+            provider.query(Query(("alpha",)))
+
+    @pytest.mark.parametrize("http_server", ["truncated"], indirect=True)
+    def test_impute_abstains_on_every_web_cell_of_a_truncating_server(
+        self, http_server, nba_table, nba_ruleset, nba_config
+    ):
+        port, requests = http_server
+        provider = HttpProvider(f"http://127.0.0.1:{port}/?q={{query}}", delay_ms=0)
+        _, report = impute(nba_table, nba_ruleset, nba_config, provider)
+        assert requests  # the cells queried, and every answer failed
+        web = [
+            o for o in report.outcomes
+            if o.outcome != FILLED_INTERNAL and o.reason != "no feasible keyword group"
+        ]
+        assert len(web) == 5
+        assert all((o.outcome, o.reason) == (ABSTAINED, "provider error") for o in web)
+
     def test_delay_applies_between_queries(self, http_server):
         port, _ = http_server
         provider = HttpProvider(f"http://127.0.0.1:{port}/?q={{query}}", delay_ms=150)
@@ -332,17 +368,19 @@ class TestHttpProvider:
 
 
 @pytest.fixture
-def http_server():
+def http_server(request):
     """A local HTTP server answering every GET with one small page; yields its
-    port and the list of the paths it was sent, in order."""
+    port and the list of the paths it was sent, in order.  Parametrized with
+    ``"truncated"``, it declares a ``Content-Length`` longer than the page."""
     requests = []
+    missing = 10 if getattr(request, "param", None) == "truncated" else 0
 
     class Handler(http.server.BaseHTTPRequestHandler):
         def do_GET(self):
             requests.append(self.path)
             body = b"<html><body><p>alpha beta</p></body></html>"
             self.send_response(200)
-            self.send_header("Content-Length", str(len(body)))
+            self.send_header("Content-Length", str(len(body) + missing))
             self.end_headers()
             self.wfile.write(body)
 
