@@ -7,14 +7,11 @@ attempted fills and the filling ratio over all masked cells, so the two
 metrics stay independent.  A grid point's own failure, a ratio it cannot
 mask (:class:`MaskError`), is recorded; any other error ends the sweep.
 
-The grid points of one ``sweep`` call share one :class:`SweepMemo`, which
-holds what does not depend on a point's mask: each dictionary file's lines,
-each ``Dictionary`` per (attribute, value set) and, for a provider that is
-not ``live`` (see ``SearchProvider``), each query's answer, each mined
-pattern list and each pattern extraction, keyed by its whole input.  So a
-point's table and report are those of a run of its own.  A live provider,
-such as ``HttpProvider``, shares none of the last three.  The memo ends
-with the call: separate ``sweep`` calls share no answer.
+The grid points of one ``sweep`` call share one :class:`SweepMemo`, made
+for the call's provider and configuration before the first mask, so every
+dictionary file is read before any point runs.  It reuses work only where
+the whole input of that work repeats, so a point's table and report are
+those of a run of its own.
 """
 
 from __future__ import annotations
@@ -181,7 +178,7 @@ def sweep(
 ) -> SweepResult:
     """The full (ratio x seed) grid, one grid point after another, sharing one memo."""
     protected = frozenset(protected)
-    memo = SweepMemo()
+    memo = SweepMemo(provider, config)
     rows = []
     for ratio in ratios:
         for seed in seeds:

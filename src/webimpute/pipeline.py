@@ -6,10 +6,11 @@ within a row: select the optimal keyword group (abstain if its weight is
 below the group threshold), try mined patterns for the group's (source, sink)
 attribute pairs, and fall back to keyword-group extraction when no pattern
 produces a value.  Rules and dictionaries may name only table columns, and
-every dictionary file is read before phase 1, or earlier in the sweep whose
-:class:`SweepMemo` the run is handed.  Phase 2 runs serially,
-one cell at a time; every cell is evaluated against the phase-1 snapshot and
-its fill is applied afterwards, so no phase-2 fill influences another cell.
+every dictionary file is read when the run's :class:`SweepMemo` is made:
+before phase 1, or before the first mask of the sweep that hands the run
+its memo.  Phase 2 runs serially, one cell at a time; every cell is
+evaluated against the phase-1 snapshot and its fill is applied afterwards,
+so no phase-2 fill influences another cell.
 Provider failures mark the cell abstained and never abort a run.
 """
 
@@ -170,87 +171,77 @@ class RunReport:
         Path(path).write_text(self.to_json(), encoding="utf-8")
 
 
-class _RetryingProvider:
-    """Gives a provider's retryable failures a few more attempts, and answers
-    a repeated query with a copy of its answer in ``answers``, unless None."""
-
-    def __init__(self, provider: SearchProvider, retries: int, answers: dict | None):
-        self._provider = provider
-        self._retries = retries
-        self._answers = answers
-
-    def query(self, q: Query) -> list:
-        if self._answers is not None and (found := self._answers.get(q)) is not None:
-            return list(found)
-        for attempt in range(self._retries + 1):
-            try:
-                found = self._provider.query(q)
-                break
-            except ProviderError:
-                if attempt == self._retries:
-                    raise
-        if self._answers is not None:
-            self._answers[q] = found
-        return list(found)
-
-
 _UNSET = object()
 
 
 class SweepMemo:
     """Work that repeats across the imputation runs of one sweep, done once.
 
-    A memo serves the provider of its first run; another is a ``ValueError``.
-    Each table is keyed by the whole input of the work it replaces: file
-    lines by path; a ``Dictionary`` by (attribute, value set); a provider's
-    answer by ``Query``; a pair's mined patterns by (pair, mining sample
-    values, support, sample, pages, ``max_gap``); the first ``(pattern,
-    value)`` a pair's patterns extract, or None, by (patterns, dictionary,
-    pages, ``max_gap``) and then by known value, so a cell pays one lookup
-    per source attribute.  Answers, mining and extraction results are kept
-    only for a provider that is not ``live`` (see ``SearchProvider``);
-    errors never are.  A miss asks the provider or calls this module's
-    ``build_dictionary``, ``mine_patterns`` or ``extract_by_pattern``.
+    ``evalharness.sweep`` makes one for its whole grid; a lone ``impute``
+    makes its own.  A memo is made for one provider and one configuration,
+    and ``impute`` refuses it, with a ``ValueError`` before any query, for
+    another provider object or a configuration unequal to the one it was
+    made with, one changed in place since included.  It reads each
+    ``dictionaries`` file when it is made.  It is the provider that phase 2
+    queries: a retryable failure gets ``query_retries`` more attempts.
+
+    The configuration being fixed, each table is keyed by the rest of the
+    input of the work it replaces: a ``Dictionary`` by (attribute, value
+    set); a provider's answer by ``Query``; a pair's mined patterns by (pair,
+    mining sample values); the first ``(pattern, value)`` a pair's patterns
+    extract, or None, by (patterns, ``Dictionary``) and then by known value,
+    so a cell pays one lookup per source attribute.  Answers, mining and
+    extraction results are kept only for a provider that is not ``live``
+    (see ``SearchProvider``); errors never are.  A miss asks the provider or
+    calls this module's ``build_dictionary``, ``mine_patterns`` or
+    ``extract_by_pattern``.  Nothing outlives the memo: separate sweeps, or
+    separate lone ``impute`` calls, share no answer.
     """
 
-    def __init__(self) -> None:
-        self._provider: SearchProvider | None = None
-        self._live = False
-        self._lines: dict[str, list[str]] = {}
+    def __init__(self, provider: SearchProvider, config: RunConfig) -> None:
+        self._provider = provider
+        self._live = getattr(provider, "live", False)
+        self.config = config
+        self._settings = asdict(config)
+        paths = dict.fromkeys(config.dictionaries.values())  # a file named twice is read once
+        read = {path: read_text(path).splitlines() for path in paths}
+        self._extra = {attr: read[path] for attr, path in config.dictionaries.items()}
         self._dictionaries: dict[tuple[str, frozenset[str]], Dictionary] = {}
         self._answers: dict[Query, list] = {}
         self._mined: dict[tuple, tuple[Pattern, ...]] = {}
         self._fills: dict[tuple, dict[str, tuple[Pattern, str] | None]] = {}
 
-    def provider(self, provider: SearchProvider, retries: int) -> _RetryingProvider:
-        """``provider`` with ``retries`` and, unless it is live, this memo's answers."""
-        if self._provider is None:
-            self._provider = provider
-            self._live = getattr(provider, "live", False)
-        elif provider is not self._provider:
-            raise ValueError("a SweepMemo serves the one provider of its first run")
-        return _RetryingProvider(provider, retries, None if self._live else self._answers)
+    def query(self, q: Query) -> list:
+        """The provider's answer to ``q``, as a list of the caller's own."""
+        if (found := self._answers.get(q)) is not None:
+            return list(found)
+        retries = self.config.query_retries
+        for attempt in range(retries + 1):
+            try:
+                found = self._provider.query(q)
+                break
+            except ProviderError:
+                if attempt == retries:
+                    raise
+        if not self._live:
+            self._answers[q] = found
+        return list(found)
 
-    def lines(self, path: str) -> list[str]:
-        if (lines := self._lines.get(path)) is None:
-            lines = self._lines[path] = read_text(path).splitlines()
-        return lines
-
-    def dictionary(self, table: Table, attr: str, extra: list[str]) -> Dictionary:
-        key = (attr, dictionary_values(table, attr, extra))
+    def dictionary(self, table: Table, attr: str) -> Dictionary:
+        key = (attr, dictionary_values(table, attr, self._extra.get(attr, [])))
         if (found := self._dictionaries.get(key)) is None:
             found = self._dictionaries[key] = build_dictionary(*key)
         return found
 
-    def mine(
-        self, provider: _RetryingProvider, table: Table, pair: tuple[str, str], config: RunConfig
-    ) -> tuple[Pattern, ...]:
+    def mine(self, table: Table, pair: tuple[str, str]) -> tuple[Pattern, ...]:
         """``mine_patterns`` for ``pair``, or () where the table has no evidence."""
-        counts = (config.effective_pattern_support, config.sample, config.pages, config.max_gap)
-        key = (pair, mining_sample(table, pair, config.sample), counts)
+        c = self.config
+        key = (pair, mining_sample(table, pair, c.sample))
         if (found := self._mined.get(key)) is None:
             try:
-                found = tuple(mine_patterns(provider, table, pair, *counts))
+                found = tuple(mine_patterns(
+                    self, table, pair, c.effective_pattern_support, c.sample, c.pages, c.max_gap
+                ))
             except MiningError:
                 found = ()
             if not self._live:
@@ -258,22 +249,19 @@ class SweepMemo:
         return found
 
     def extractor(
-        self,
-        patterns: tuple[Pattern, ...],
-        dictionary: Dictionary,
-        provider: _RetryingProvider,
-        config: RunConfig,
+        self, patterns: tuple[Pattern, ...], dictionary: Dictionary
     ) -> Callable[[str], tuple[Pattern, str] | None]:
         """known value -> the first ``(pattern, value)`` that a pair's
         ``patterns`` extract through its sink's ``dictionary``, or None."""
-        done = self._fills.setdefault((patterns, dictionary, config.pages, config.max_gap), {})
+        done = self._fills.setdefault((patterns, dictionary), {})
+        pages, max_gap = self.config.pages, self.config.max_gap
 
         def first_fill(known_value: str) -> tuple[Pattern, str] | None:
             if (found := done.get(known_value, _UNSET)) is _UNSET:
                 found = None
                 for pattern in patterns:
                     value = extract_by_pattern(
-                        pattern, known_value, provider, dictionary, config.pages, config.max_gap
+                        pattern, known_value, self, dictionary, pages, max_gap
                     )
                     if value is not None:
                         found = pattern, value
@@ -286,13 +274,9 @@ class SweepMemo:
 
 
 def _mine_needed_patterns(
-    pairs: list[tuple[str, str]],
-    table: Table,
-    provider: _RetryingProvider,
-    config: RunConfig,
-    memo: SweepMemo,
+    pairs: list[tuple[str, str]], table: Table, memo: SweepMemo
 ) -> dict[tuple[str, str], tuple[Pattern, ...]]:
-    cache_path = Path(config.pattern_cache) if config.pattern_cache else None
+    cache_path = Path(memo.config.pattern_cache) if memo.config.pattern_cache else None
     mined: dict[tuple[str, str], list[Pattern]] = {}
     if cache_path is not None and cache_path.exists():
         for pattern in load_patterns(cache_path):
@@ -303,7 +287,7 @@ def _mine_needed_patterns(
         if pair in found:
             continue
         try:
-            found[pair] = memo.mine(provider, table, pair, config)
+            found[pair] = memo.mine(table, pair)
         except ProviderError as exc:
             log.warning("pattern mining for %s failed: %s", pair, exc)
             found[pair] = ()
@@ -318,8 +302,7 @@ def _extract_cell(
     cell: tuple[int, str],
     graph: SinkGraph,
     alternatives: list[dict],
-    provider: _RetryingProvider,
-    config: RunConfig,
+    memo: SweepMemo,
     extractors: dict[tuple[str, str], Callable[[str], tuple[Pattern, str] | None]],
     dictionary: Dictionary,
 ) -> CellOutcome:
@@ -343,7 +326,7 @@ def _extract_cell(
                         pattern=pattern.to_dict(),
                         **base,
                     )
-        documents = provider.query(Query(tuple(keywords), config.pages))
+        documents = memo.query(Query(tuple(keywords), memo.config.pages))
         value = extract_by_keywords(documents, keywords, dictionary)
         if value is not None:
             return CellOutcome(outcome=FILLED_KEYWORD, value=value, **base)
@@ -362,18 +345,19 @@ def impute(
 ) -> tuple[Table, RunReport]:
     """Run the full flow and report one outcome per initially-missing cell.
 
-    ``memo`` holds work shared with other runs on the same provider (see
-    :class:`SweepMemo`); by default the run has its own.
+    ``memo`` holds work shared with other runs on the same provider and
+    configuration (see :class:`SweepMemo`); by default the run makes its own.
     """
     for named, attrs in [
         ("rules reference", ruleset.referenced_attrs()), ("dictionaries name", config.dictionaries)
     ]:
         if unknown := sorted(set(attrs) - set(table.columns)):
             raise ValueError(f"{named} attributes not in table: {', '.join(unknown)}")
+    settings = asdict(config)
     if memo is None:
-        memo = SweepMemo()
-    provider = memo.provider(provider, config.query_retries)
-    extra_entries = {a: memo.lines(path) for a, path in config.dictionaries.items()}
+        memo = SweepMemo(provider, config)
+    elif provider is not memo._provider or settings != memo._settings:
+        raise ValueError("a SweepMemo serves only the provider and configuration it was made for")
     t_start = time.perf_counter()
     initial_missing = list(table.missing_cells())
 
@@ -408,7 +392,7 @@ def impute(
             plans[(row, attr)] = (best, alternatives)
 
     dictionaries = {
-        attr: memo.dictionary(internal_table, attr, extra_entries.get(attr, []))
+        attr: memo.dictionary(internal_table, attr)
         for attr in dict.fromkeys(attr for _, attr in plans)
     }
 
@@ -417,18 +401,16 @@ def impute(
         for (_, attr), (best, _) in plans.items()
         for source in best.source_attrs
     })
-    mined = _mine_needed_patterns(needed_pairs, internal_table, provider, config, memo)
+    mined = _mine_needed_patterns(needed_pairs, internal_table, memo)
     extractors = {
-        pair: memo.extractor(mined[pair], dictionaries[pair[1]], provider, config)
+        pair: memo.extractor(mined[pair], dictionaries[pair[1]])
         for pair in needed_pairs
         if mined[pair]
     }
 
     fills = []
     for cell, (best, alternatives) in plans.items():  # row-major, as initial_missing
-        outcome = _extract_cell(
-            cell, best, alternatives, provider, config, extractors, dictionaries[cell[1]]
-        )
+        outcome = _extract_cell(cell, best, alternatives, memo, extractors, dictionaries[cell[1]])
         outcomes[cell] = outcome
         if outcome.value is not None:
             fills.append((outcome.row, outcome.attr, outcome.value))
@@ -457,7 +439,7 @@ def impute(
         initial_missing=len(initial_missing),
         outcomes=ordered,
         internal_decisions=decisions,
-        config=asdict(config),
+        config=settings,
         timings={
             "internal_s": t_internal - t_start,
             "web_s": t_end - t_internal,

@@ -72,12 +72,10 @@ class SearchProvider(Protocol):  # pragma: no cover - structural type only
     """What the pipeline queries.
 
     A provider whose answer to a query may change from one call to the next,
-    such as a live web search, sets the class attribute ``live = True``.  A
-    provider without it declares its answer a pure function of the query, so
-    an imputation run reuses its answer to a repeated query, and the grid
-    points of one sweep share those answers, mined patterns and pattern
-    extractions instead of asking it again.  A live provider is asked every
-    time, within a run too, as by runs that share nothing.
+    such as a live web search, sets the class attribute ``live = True`` and
+    is asked every time.  A provider without it declares its answer a pure
+    function of the query, so the pipeline may reuse it: what is reused, and
+    for how long, is stated once, in ``pipeline.SweepMemo``.
     """
 
     def query(self, q: Query) -> list[Document]:
@@ -240,10 +238,16 @@ class HttpProvider:
             raise ValueError("url_template must contain a {query} placeholder")
         if re.search(r"[\x00-\x20\x7f]", url_template):  # every GET would fail
             raise ValueError("url_template must not hold whitespace or control characters")
+        parts = urllib.parse.urlsplit(url_template)  # a non-ASCII host is IDNA-encoded
+        if not (parts.path + parts.query).isascii():  # the request line must be ASCII
+            raise ValueError("url_template must be ASCII in its path and query")
         check_count("delay_ms", delay_ms, least=0)
         check_count("timeout_ms", timeout_ms)
         if type(user_agent) is not str:
             raise ValueError(f"user_agent must be a string, got {user_agent!r}")
+        # every GET would fail: a header value goes out as Latin-1, on one line
+        if re.search(r"[^\t\x20-\x7e\x80-\xff]", user_agent):
+            raise ValueError(f"user_agent must be a Latin-1 header value, got {user_agent!r}")
         self.url_template = url_template
         self.delay_ms = delay_ms
         self.user_agent = user_agent

@@ -215,11 +215,13 @@ def test_bad_url_template_is_the_same_usage_error_as_flag_or_config(tmp_path, ca
           "delay_ms": True}, "delay_ms"),
         ({"kind": "http", "url_template": "http://127.0.0.1:9/?q={query}",
           "user_agent": 5}, "user_agent"),
+        ({"kind": "http", "url_template": "http://127.0.0.1:9/?q={query}",
+          "user_agent": "webimpute\n"}, "user_agent"),
         ({"kind": "ftp"}, "ftp"),
     ],
     ids=["local-without-corpus", "local-corpus-not-a-path", "provider-not-a-mapping",
          "http-unknown-key", "http-negative-delay", "http-bool-delay",
-         "http-number-user-agent", "unknown-kind"],
+         "http-number-user-agent", "http-user-agent-newline", "unknown-kind"],
 )
 def test_bad_provider_config_is_usage_error(tmp_path, capsys, provider, key):
     config = tmp_path / "cfg.json"
@@ -549,6 +551,20 @@ def test_url_template_with_whitespace_is_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         "error: bad http provider settings: "
         "url_template must not hold whitespace or control characters\n"
+    )
+    assert not out.exists()
+
+
+def test_url_template_with_non_ascii_query_is_usage_error(tmp_path, capsys):
+    # every GET of it would fail to encode its request line
+    out = tmp_path / "o.csv"
+    code = run(
+        "impute", "--table", str(DATA / "nba.csv"), "--rules", str(DATA / "nba.rules"),
+        "--url-template", "http://127.0.0.1:9/s?q={query}&l=\u00fc", "--out", str(out),
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "error: bad http provider settings: url_template must be ASCII in its path and query\n"
     )
     assert not out.exists()
 

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 import webimpute.evalharness as evalharness
+import webimpute.pipeline as pipeline
 from oracles import CountingProvider, LiveCountingProvider, make_table
 from webimpute import (
     LocalCorpusProvider,
@@ -269,6 +270,32 @@ class TestSweepMemo:
         _sweep_points(monkeypatch, table, ruleset, config, pure, RATIOS, SEEDS)
         assert len(pure.queries) < len(fresh.queries)
         assert pure.queries == list(dict.fromkeys(fresh.queries))
+
+    def test_a_sweep_reads_each_dictionary_file_once_before_its_first_mask(
+        self, tmp_path, monkeypatch
+    ):
+        table, ruleset, config, provider = _memo_case(0, tmp_path)
+        cities = tmp_path / "city.dict"
+        cities.write_text("Avon\nEly\n", encoding="utf-8")
+        config = replace(config, dictionaries={**config.dictionaries, "City": str(cities)})
+        events = []
+        read_text, mask = pipeline.read_text, evalharness.mask_random
+
+        def reading(path):
+            events.append(path)
+            return read_text(path)
+
+        def masking(*args, **kwargs):
+            events.append("mask")
+            return mask(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "read_text", reading)
+        monkeypatch.setattr(evalharness, "mask_random", masking)
+        result = sweep(table, ruleset, config, provider, RATIOS, SEEDS, protected=["Name"])
+        assert len(result.rows) == len(RATIOS) * len(SEEDS)
+        files = sorted(config.dictionaries.values())
+        assert sorted(events[:2]) == files
+        assert events[2:] == ["mask"] * len(result.rows)
 
     def test_lone_impute_calls_share_no_memo(self, tmp_path):
         table, ruleset, config, local = _memo_case(0, tmp_path)

@@ -5,7 +5,6 @@ from dataclasses import replace
 
 import pytest
 
-import webimpute.pipeline as pipeline
 from oracles import (
     CountingProvider,
     LiveCountingProvider,
@@ -415,13 +414,13 @@ def test_a_mutated_answer_leaves_the_next_unchanged(
     # each caller gets a list of its own: emptying one changes neither the
     # answer to the next ask nor the run's result
     table, report = impute(nba_table, nba_ruleset, nba_config, nba_provider)
-    query = pipeline._RetryingProvider.query
+    query = SweepMemo.query
 
     def emptied_first(self, q):
         query(self, q).clear()
         return query(self, q)
 
-    monkeypatch.setattr(pipeline._RetryingProvider, "query", emptied_first)
+    monkeypatch.setattr(SweepMemo, "query", emptied_first)
     again, again_report = impute(nba_table, nba_ruleset, nba_config, nba_provider)
     assert to_csv_text(again) == to_csv_text(table)
     assert again_report.to_json(include_timings=False) == report.to_json(include_timings=False)
@@ -439,7 +438,7 @@ def test_memoised_answers_match_scan_oracle():
         asked = queries * 2 + rng.choices(queries, k=3)
         rng.shuffle(asked)
         local = CountingProvider(LocalCorpusProvider(docs, page_size=page_size))
-        provider = SweepMemo().provider(local, 0)
+        provider = SweepMemo(local, RunConfig(query_retries=0))
         for x in asked:
             assert provider.query(x) == scan_query_oracle(docs, x, page_size)
         assert len(local.queries) == len(set(asked))
@@ -449,18 +448,33 @@ def test_memoised_answers_match_scan_oracle():
     assert budgets_differ >= 100, budgets_differ
 
 
-def test_a_memo_serves_only_the_provider_of_its_first_run(
+def test_a_memo_serves_only_its_own_provider_and_config(
     nba_table, nba_ruleset, nba_provider, nba_config
 ):
-    # a memo that had served the NBA corpus used to hand its mined patterns
-    # to a run on an empty corpus, which then filled two cells by pattern
-    memo = SweepMemo()
-    impute(nba_table, nba_ruleset, nba_config, nba_provider, memo=memo)
+    # a memo keeps mined patterns and answers of the provider and the config
+    # it was made for: handed to a run on an empty corpus, it used to fill two
+    # cells by pattern, and its keys hold no config count, so a run with
+    # other counts or dictionary files would read another config's work
+    config = replace(nba_config, dictionaries=dict(nba_config.dictionaries))
+    counted = CountingProvider(nba_provider)
+    memo = SweepMemo(counted, config)
+
+    def rejected(run_config, provider=counted):
+        with pytest.raises(ValueError, match="provider and configuration"):
+            impute(nba_table, nba_ruleset, run_config, provider, memo=memo)
+
     empty = CountingProvider(LocalCorpusProvider([]))
-    with pytest.raises(ValueError, match="provider of its first run"):
-        impute(nba_table, nba_ruleset, nba_config, empty, memo=memo)
+    rejected(config, empty)
     assert empty.queries == []
-    _, report = impute(nba_table, nba_ruleset, nba_config, empty)
+    _, report = impute(nba_table, nba_ruleset, config, empty)
     assert report.counts[FILLED_PATTERN] == 0
-    _, report = impute(nba_table, nba_ruleset, nba_config, nba_provider, memo=memo)
+    rejected(replace(config, pages=4))
+    config.sample = 4  # changed in place after the memo was made
+    rejected(config)
+    config.sample = 5
+    config.dictionaries.clear()
+    rejected(config)
+    config.dictionaries.update(nba_config.dictionaries)
+    assert counted.queries == []
+    _, report = impute(nba_table, nba_ruleset, config, counted, memo=memo)
     assert report.counts[FILLED_PATTERN] == 2

@@ -299,6 +299,35 @@ class TestHttpProvider:
             with pytest.raises(ValueError, match="whitespace or control characters"):
                 HttpProvider("http://127.0.0.1:9/s?q={query}" + bad)
 
+    def test_template_with_non_ascii_path_or_query_is_rejected(self):
+        # http.client encodes the request line as ASCII: UnicodeEncodeError at every GET
+        for bad in (
+            "http://127.0.0.1:9/s?q={query}&l=\u00fc", "http://127.0.0.1:9/\u00fc?q={query}"
+        ):
+            with pytest.raises(ValueError, match="ASCII in its path and query"):
+                HttpProvider(bad)
+
+    def test_user_agent_with_a_line_break_is_rejected(self):
+        # http.client refuses the header at every GET: "Invalid header value"
+        for bad in ("webimpute\n", "web\r\nX-Injected: 1"):
+            with pytest.raises(ValueError, match="user_agent must be a Latin-1 header value"):
+                HttpProvider("http://127.0.0.1:9/?q={query}", user_agent=bad)
+
+    def test_user_agent_outside_latin_1_is_rejected(self):
+        # http.client encodes header values as Latin-1: UnicodeEncodeError at every GET
+        with pytest.raises(ValueError, match="user_agent must be a Latin-1 header value"):
+            HttpProvider("http://127.0.0.1:9/?q={query}", user_agent="webimpute \u20ac")
+
+    def test_idna_host_non_ascii_fragment_and_latin_1_agent_are_accepted(self, http_server):
+        HttpProvider("http://b\u00fccher.invalid/s?q={query}")  # the host is IDNA-encoded
+        port, requests = http_server
+        provider = HttpProvider(
+            f"http://127.0.0.1:{port}/?q={{query}}#\u00fc", user_agent="webimpute \u00fc",
+            delay_ms=0,
+        )
+        (doc,) = provider.query(Query(("alpha",)))  # the fragment is never sent
+        assert requests == ["/?q=alpha"] and doc.tokens == ("alpha", "beta")
+
     def test_unreachable_host_raises_provider_error(self):
         provider = HttpProvider(
             "http://127.0.0.1:9/search?q={query}", delay_ms=0, timeout_ms=500
