@@ -36,6 +36,7 @@ from .tabular import (
     read_ground_truth,
     read_text,
     write_ground_truth,
+    write_json,
     write_table,
 )
 
@@ -329,11 +330,10 @@ def _cmd_eval(args) -> int:
     truth = read_ground_truth(args.truth)
     metrics = asdict(evaluate(truth, imputed))
     del metrics["phase_timings"]  # set only by a sweep's run_one
-    text = dump_json(metrics)
     if args.report:
-        Path(args.report).write_text(text, encoding="utf-8")
+        write_json(metrics, args.report)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(dump_json(metrics))
     return 0
 
 

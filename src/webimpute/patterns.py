@@ -35,7 +35,7 @@ from typing import Sequence
 
 from .extract import Dictionary
 from .providers import Query, SearchProvider
-from .tabular import MISSING, Table, check_count, dump_json, read_json_list
+from .tabular import MISSING, Table, check_count, read_json_list, write_json
 from .textutil import find_token_seq, tokenize
 
 MAX_GAP = 8
@@ -205,7 +205,7 @@ def extract_by_pattern(
 
 
 def save_patterns(patterns: Sequence[Pattern], path: str | Path) -> None:
-    Path(path).write_text(dump_json([p.to_dict() for p in patterns]), encoding="utf-8")
+    write_json([p.to_dict() for p in patterns], path)
 
 
 def load_patterns(path: str | Path) -> list[Pattern]:

@@ -44,7 +44,7 @@ from .patterns import (
 )
 from .providers import PAGE_SIZE, ProviderError, Query, SearchProvider
 from .rules import RuleSet
-from .tabular import Table, check_count, check_ratio, dump_json, read_text
+from .tabular import Table, check_count, check_ratio, dump_json, read_text, write_json
 
 log = logging.getLogger(__name__)
 
@@ -168,7 +168,7 @@ class RunReport:
         return dump_json(self.to_dict(include_timings))
 
     def write(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
+        write_json(self.to_dict(), path)
 
 
 _UNSET = object()

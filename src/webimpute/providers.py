@@ -21,14 +21,11 @@ entries of each list, which is all a query reads of its longest list.
 
 from __future__ import annotations
 
-import html
-import http.client
 import json
 import re
 import threading
 import time
-import urllib.parse
-import urllib.request
+import urllib.parse  # light: no socket, ssl or email behind it
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
@@ -210,6 +207,8 @@ _TAG_RE = re.compile(r"<[^>]*>")
 
 
 def strip_tags(markup: str) -> str:
+    import html  # only a web page has tags: a local run never loads it
+
     return html.unescape(_TAG_RE.sub(" ", markup))
 
 
@@ -239,6 +238,14 @@ class HttpProvider:
         if re.search(r"[\x00-\x20\x7f]", url_template):  # every GET would fail
             raise ValueError("url_template must not hold whitespace or control characters")
         parts = urllib.parse.urlsplit(url_template)  # a non-ASCII host is IDNA-encoded
+        if parts.scheme not in ("http", "https"):  # urllib: "unknown url type"
+            raise ValueError(f"url_template must be an http or https URL, got {url_template!r}")
+        if not parts.hostname:  # urllib: "no host given"
+            raise ValueError(f"url_template must name a host, got {url_template!r}")
+        try:
+            parts.port  # a non-numeric or out-of-range port raises
+        except ValueError as exc:
+            raise ValueError(f"url_template has a bad port: {exc}") from None
         if not (parts.path + parts.query).isascii():  # the request line must be ASCII
             raise ValueError("url_template must be ASCII in its path and query")
         check_count("delay_ms", delay_ms, least=0)
@@ -256,6 +263,11 @@ class HttpProvider:
         self._last_request: float | None = None  # monotonic end of the last GET
 
     def query(self, q: Query) -> list[Document]:
+        # the HTTP stack (with ssl and email) loads on the first web request,
+        # so a run that makes none does not pay for it
+        import http.client
+        import urllib.request
+
         encoded = urllib.parse.quote_plus(" ".join(q.keywords))
         template = self.url_template.replace("{query}", encoded)
         pages = q.pages if "{page}" in self.url_template else 1

@@ -11,9 +11,11 @@ what changes, not the table.  A table lists its missing cells once, the first
 time it is asked.
 
 Every file the package reads goes through :func:`read_text`, so a file that
-is not UTF-8 is an error naming it; every JSON file it writes is laid out by
-:func:`dump_json`.  Every count an entry point takes is checked by :func:`check_count`
-(an ``int``, not a ``bool``) and every ratio by :func:`check_ratio` (in [0, 1]).
+is not UTF-8 is an error naming it; every JSON text it writes is laid out by
+:func:`dump_json`, and every JSON file is streamed into its open file by
+:func:`write_json` in the same layout.  Every count an entry point takes is
+checked by :func:`check_count` (an ``int``, not a ``bool``) and every ratio
+by :func:`check_ratio` (in [0, 1]).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import random
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, TextIO, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover
     from .rules import Rule
@@ -210,13 +212,30 @@ def read_text(path: str | Path) -> str:
         raise ValueError(f"{path}: not a UTF-8 file: {exc}") from None
 
 
+def _encode_json(data: object, fh: TextIO) -> None:
+    # json.dump hands ``fh`` each chunk as it is encoded; json.dumps would
+    # hold every chunk in one list until its final join
+    json.dump(data, fh, indent=2, sort_keys=True, ensure_ascii=False)
+    fh.write("\n")
+
+
 def dump_json(data: object) -> str:
-    """The layout of every JSON file written: sorted keys, 2-space indent, UTF-8."""
-    return json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """The layout of every JSON text written: sorted keys, 2-space indent,
+    non-ASCII kept, a trailing newline."""
+    buf = io.StringIO()
+    _encode_json(data, buf)
+    return buf.getvalue()
+
+
+def write_json(data: object, path: str | Path) -> None:
+    """``dump_json(data)`` streamed into the UTF-8 file ``path``, its line
+    ends written as they are, as :func:`write_table` writes them."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        _encode_json(data, fh)
 
 
 def write_ground_truth(entries: Sequence[MaskedCell], path: str | Path) -> None:
-    Path(path).write_text(dump_json([asdict(e) for e in entries]), encoding="utf-8")
+    write_json([asdict(e) for e in entries], path)
 
 
 def read_json_list(path: str | Path, kind: str, build: Callable[[dict], T]) -> list[T]:

@@ -569,6 +569,29 @@ def test_url_template_with_non_ascii_query_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "template, message",
+    [
+        ("htp://127.0.0.1:9/?q={query}", "url_template must be an http or https URL"),
+        ("127.0.0.1:9/?q={query}", "url_template must be an http or https URL"),
+        ("http:///?q={query}", "url_template must name a host"),
+        ("http://127.0.0.1:x/?q={query}", "url_template has a bad port"),
+        ("http://127.0.0.1:99999/?q={query}", "url_template has a bad port"),
+    ],
+    ids=["misspelt-scheme", "no-scheme", "empty-host", "non-numeric-port", "port-out-of-range"],
+)
+def test_url_template_urllib_cannot_open_is_usage_error(tmp_path, capsys, template, message):
+    # every GET of it would fail; rejected before the (absent) table is read
+    out = tmp_path / "o.csv"
+    code = run(
+        "impute", "--table", str(tmp_path / "missing.csv"), "--rules", str(DATA / "nba.rules"),
+        "--url-template", template, "--out", str(out),
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: bad http provider settings: {message}")
+    assert not out.exists()
+
+
 def test_log_level_controls_stderr(tmp_path, capsys):
     cache = tmp_path / "patterns.json"
     args = [

@@ -170,6 +170,17 @@ def test_deterministic_outputs(nba_table, nba_ruleset, nba_provider, nba_config)
     assert a_report.to_json(include_timings=False) == b_report.to_json(include_timings=False)
 
 
+def test_written_report_is_its_json_text(
+    tmp_path, nba_table, nba_ruleset, nba_provider, nba_config
+):
+    # write streams the report into its file; to_json builds the text in memory
+    _, report = impute(nba_table, nba_ruleset, nba_config, nba_provider)
+    path = tmp_path / "report.json"
+    report.write(path)
+    assert path.read_bytes() == report.to_json().encode("utf-8")
+    assert list(json.loads(path.read_bytes()))[-1] == "timings"  # sorted keys put it last
+
+
 def test_sequential_and_parallel_agree(nba_table, nba_ruleset, nba_provider, nba_config):
     from dataclasses import replace
     from webimpute.tabular import to_csv_text

@@ -1,9 +1,12 @@
 import http.server
+import os
 import random
+import subprocess
 import sys
 import threading
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,7 @@ from oracles import (
     scan_ranking_oracle,
     tied_corpus_case,
 )
+import webimpute
 from webimpute import (
     Document,
     HttpProvider,
@@ -307,6 +311,26 @@ class TestHttpProvider:
             with pytest.raises(ValueError, match="ASCII in its path and query"):
                 HttpProvider(bad)
 
+    @pytest.mark.parametrize(
+        "template, message",
+        [
+            ("htp://127.0.0.1:9/?q={query}", "an http or https URL"),  # unknown url type
+            ("127.0.0.1:9/?q={query}", "an http or https URL"),
+            ("ftp://127.0.0.1/?q={query}", "an http or https URL"),
+            ("http:///?q={query}", "must name a host"),  # no host given
+            ("http://:80/?q={query}", "must name a host"),
+            ("http://127.0.0.1:x/?q={query}", "bad port"),  # nonnumeric port
+            ("http://127.0.0.1:99999/?q={query}", "bad port"),
+        ],
+    )
+    def test_template_urllib_cannot_open_is_rejected(self, template, message):
+        with pytest.raises(ValueError, match=message):
+            HttpProvider(template)
+
+    def test_scheme_is_case_insensitive(self):
+        for template in ("HTTP://127.0.0.1:9/?q={query}", "https://127.0.0.1/?q={query}"):
+            HttpProvider(template)
+
     def test_user_agent_with_a_line_break_is_rejected(self):
         # http.client refuses the header at every GET: "Invalid header value"
         for bad in ("webimpute\n", "web\r\nX-Injected: 1"):
@@ -386,6 +410,28 @@ class TestHttpProvider:
         ]
         assert len(web) == 5
         assert all((o.outcome, o.reason) == (ABSTAINED, "provider error") for o in web)
+
+    def test_http_stack_loads_on_the_first_query(self, http_server):
+        # in a fresh interpreter: importing the package, its CLI and building
+        # a provider load no HTTP module; the first query loads them and works
+        port, _ = http_server
+        code = f"""
+import sys
+import webimpute, webimpute.cli
+from webimpute import HttpProvider, Query
+HEAVY = ("http.client", "urllib.request", "ssl", "html")
+provider = HttpProvider("http://127.0.0.1:{port}/?q={{query}}", delay_ms=0)
+print(sorted(m for m in HEAVY if m in sys.modules))
+(doc,) = provider.query(Query(("alpha",)))
+print(list(doc.tokens), "http.client" in sys.modules)
+"""
+        src = str(Path(webimpute.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["[]", "['alpha', 'beta'] True"]
 
     def test_delay_applies_between_queries(self, http_server):
         port, _ = http_server
