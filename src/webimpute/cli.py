@@ -107,7 +107,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
         metavar="ATTR=PATH",
         help="supplementary dictionary file, repeatable",
     )
-    p.add_argument("--patterns", help="pattern cache path (read if present, written)")
+    p.add_argument("--patterns", help="pattern cache path (read once if present, kept current)")
     p.add_argument("--config", help="JSON config file; flags override it")
     p.add_argument("--reiterate", action="store_true", default=None)
 

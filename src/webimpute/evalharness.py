@@ -9,9 +9,9 @@ mask (:class:`MaskError`), is recorded; any other error ends the sweep.
 
 The grid points of one ``sweep`` call share one :class:`SweepMemo`, made
 for the call's provider and configuration before the first mask, so every
-dictionary file is read before any point runs.  It reuses work only where
-the whole input of that work repeats, so a point's table and report are
-those of a run of its own.
+dictionary file, and the pattern cache file, is read before any point
+runs.  It reuses work only where the whole input of that work repeats, so a
+point's table and report are those of a run of its own.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ from typing import Sequence
 from .extract import Dictionary
 from .providers import Query, SearchProvider
 from .tabular import MISSING, Table, check_count, read_json_list, write_json
-from .textutil import find_token_seq, tokenize
+from .textutil import find_token_seq, is_token, tokenize
 
 MAX_GAP = 8
 """Maximum tokens between the two attribute values of a co-occurrence."""
@@ -216,4 +216,6 @@ def _pattern_from_dict(d: dict) -> Pattern:
     context = d["context"]
     if not isinstance(context, list) or not all(isinstance(t, str) for t in context):
         raise ValueError(f"context must be a list of strings, got {context!r}")
+    if bad := [t for t in context if not is_token(t)]:
+        raise ValueError(f"context entry {bad[0]!r} is not a token: no page can match it")
     return Pattern(d["attr1"], d["attr2"], tuple(context), d["direction"], d["support"])

@@ -6,11 +6,12 @@ within a row: select the optimal keyword group (abstain if its weight is
 below the group threshold), try mined patterns for the group's (source, sink)
 attribute pairs, and fall back to keyword-group extraction when no pattern
 produces a value.  Rules and dictionaries may name only table columns, and
-every dictionary file is read when the run's :class:`SweepMemo` is made:
-before phase 1, or before the first mask of the sweep that hands the run
-its memo.  Phase 2 runs serially, one cell at a time; every cell is
-evaluated against the phase-1 snapshot and its fill is applied afterwards,
-so no phase-2 fill influences another cell.
+every dictionary file, and the pattern cache file if there is one, is read
+when the run's :class:`SweepMemo` is made: before phase 1, or before the
+first mask of the sweep that hands the run its memo.  The cache file is
+written after mining, at most once a run.  Phase 2 runs serially, one cell
+at a time; every cell is evaluated against the phase-1 snapshot and its
+fill is applied afterwards, so no phase-2 fill influences another cell.
 Provider failures mark the cell abstained and never abort a run.
 """
 
@@ -182,8 +183,16 @@ class SweepMemo:
     and ``impute`` refuses it, with a ``ValueError`` before any query, for
     another provider object or a configuration unequal to the one it was
     made with, one changed in place since included.  It reads each
-    ``dictionaries`` file when it is made.  It is the provider that phase 2
-    queries: a retryable failure gets ``query_retries`` more attempts.
+    ``dictionaries`` file, and the ``pattern_cache`` file if it exists, when
+    it is made.  It is the provider that phase 2 queries: a retryable
+    failure gets ``query_retries`` more attempts.
+
+    The cache table holds each pair's patterns, from the cache file in file
+    order, and ``mine`` returns them first, whatever the mining sample.  With
+    a ``pattern_cache`` set, a pair that mines patterns joins it, for a
+    ``live`` provider too.  ``write_cache``, once a run, writes the table
+    sorted by pair, support and context unless the memo last wrote just that
+    list, so its first run always writes; the sort keeps each pair's order.
 
     The configuration being fixed, each table is keyed by the rest of the
     input of the work it replaces: a ``Dictionary`` by (attribute, value
@@ -192,10 +201,11 @@ class SweepMemo:
     extract, or None, by (patterns, ``Dictionary``) and then by known value,
     so a cell pays one lookup per source attribute.  Answers, mining and
     extraction results are kept only for a provider that is not ``live``
-    (see ``SearchProvider``); errors never are.  A miss asks the provider or
+    (see ``SearchProvider``); errors never are, and a pair whose mining
+    fails gets no patterns in that run.  A miss asks the provider or
     calls this module's ``build_dictionary``, ``mine_patterns`` or
-    ``extract_by_pattern``.  Nothing outlives the memo: separate sweeps, or
-    separate lone ``impute`` calls, share no answer.
+    ``extract_by_pattern``.  Nothing but the cache file outlives the memo:
+    separate sweeps, or separate lone ``impute`` calls, share no answer.
     """
 
     def __init__(self, provider: SearchProvider, config: RunConfig) -> None:
@@ -210,6 +220,12 @@ class SweepMemo:
         self._answers: dict[Query, list] = {}
         self._mined: dict[tuple, tuple[Pattern, ...]] = {}
         self._fills: dict[tuple, dict[str, tuple[Pattern, str] | None]] = {}
+        self._cache: dict[tuple[str, str], tuple[Pattern, ...]] = {}
+        self._written: list[Pattern] | None = None
+        if (path := config.pattern_cache) and Path(path).exists():
+            for p in load_patterns(path):  # each pair's patterns in file order
+                self._cache[p.attr1, p.attr2] = self._cache.get((p.attr1, p.attr2), ()) + (p,)
+            log.info("loaded %d cached pattern pairs from %s", len(self._cache), path)
 
     def query(self, q: Query) -> list:
         """The provider's answer to ``q``, as a list of the caller's own."""
@@ -234,7 +250,9 @@ class SweepMemo:
         return found
 
     def mine(self, table: Table, pair: tuple[str, str]) -> tuple[Pattern, ...]:
-        """``mine_patterns`` for ``pair``, or () where the table has no evidence."""
+        """``pair``'s cached patterns, else ``mine_patterns``'s, else ()."""
+        if (found := self._cache.get(pair)) is not None:
+            return found
         c = self.config
         key = (pair, mining_sample(table, pair, c.sample))
         if (found := self._mined.get(key)) is None:
@@ -244,9 +262,22 @@ class SweepMemo:
                 ))
             except MiningError:
                 found = ()
+            except ProviderError as exc:
+                log.warning("pattern mining for %s failed: %s", pair, exc)
+                return ()
             if not self._live:
                 self._mined[key] = found
+        if found and c.pattern_cache:
+            self._cache[pair] = found
         return found
+
+    def write_cache(self) -> None:
+        """Write the sorted cache table to ``pattern_cache`` unless this memo last wrote it."""
+        flat = [p for patterns in self._cache.values() for p in patterns]
+        flat.sort(key=lambda p: (p.attr1, p.attr2, -p.support, " ".join(p.context)))
+        if self.config.pattern_cache and flat != self._written:
+            save_patterns(flat, self.config.pattern_cache)
+            self._written = flat
 
     def extractor(
         self, patterns: tuple[Pattern, ...], dictionary: Dictionary
@@ -271,31 +302,6 @@ class SweepMemo:
             return found
 
         return first_fill
-
-
-def _mine_needed_patterns(
-    pairs: list[tuple[str, str]], table: Table, memo: SweepMemo
-) -> dict[tuple[str, str], tuple[Pattern, ...]]:
-    cache_path = Path(memo.config.pattern_cache) if memo.config.pattern_cache else None
-    mined: dict[tuple[str, str], list[Pattern]] = {}
-    if cache_path is not None and cache_path.exists():
-        for pattern in load_patterns(cache_path):
-            mined.setdefault((pattern.attr1, pattern.attr2), []).append(pattern)
-        log.info("loaded %d cached pattern pairs from %s", len(mined), cache_path)
-    found = {pair: tuple(patterns) for pair, patterns in mined.items()}
-    for pair in pairs:
-        if pair in found:
-            continue
-        try:
-            found[pair] = memo.mine(table, pair)
-        except ProviderError as exc:
-            log.warning("pattern mining for %s failed: %s", pair, exc)
-            found[pair] = ()
-    if cache_path is not None:
-        flat = [p for patterns in found.values() for p in patterns]
-        flat.sort(key=lambda p: (p.attr1, p.attr2, -p.support, " ".join(p.context)))
-        save_patterns(flat, cache_path)
-    return found
 
 
 def _extract_cell(
@@ -401,12 +407,12 @@ def impute(
         for (_, attr), (best, _) in plans.items()
         for source in best.source_attrs
     })
-    mined = _mine_needed_patterns(needed_pairs, internal_table, memo)
     extractors = {
-        pair: memo.extractor(mined[pair], dictionaries[pair[1]])
+        pair: memo.extractor(patterns, dictionaries[pair[1]])
         for pair in needed_pairs
-        if mined[pair]
+        if (patterns := memo.mine(internal_table, pair))
     }
+    memo.write_cache()
 
     fills = []
     for cell, (best, alternatives) in plans.items():  # row-major, as initial_missing

@@ -32,6 +32,20 @@ def tokenize(text: str) -> tuple[str, ...]:
     return tuple(map(str.casefold, _TOKEN_RE.findall(text)))
 
 
+def is_token(text: str) -> bool:
+    """Whether ``text`` may be a token of ``tokenize``: non-empty, its own
+    casefold, and made of characters ``\\w`` matches or combining marks,
+    which casefolding may add.  ``tokenize(text) == (text,)`` is no test:
+    ``İ`` yields ``i`` + U+0307, which tokenizes again as ``("i",)``."""
+    if not text or text != text.casefold():
+        return False
+    if _TOKEN_RE.fullmatch(text):
+        return True
+    import unicodedata  # loaded only for a character \w does not match
+
+    return all(_TOKEN_RE.match(c) or unicodedata.category(c)[0] == "M" for c in text)
+
+
 def normalize(text: str) -> str:
     """Concatenated token form: case-folded, punctuation and spaces dropped.
 

@@ -1,5 +1,5 @@
-"""Independent brute-force oracles, random-case generators, a query recorder
-and the tests' table builder.
+"""Independent brute-force oracles, random-case generators, query and call
+recorders and the tests' table builder.
 
 These deliberately avoid the library's internal machinery: frequencies are
 counted with plain loops, the best evidence subgraph is found by
@@ -30,6 +30,17 @@ from webimpute.tabular import MISSING
 def make_table(columns, rows):
     """A table named ``t`` holding copies of ``columns`` and of each row."""
     return Table("t", list(columns), [list(r) for r in rows])
+
+
+def log_calls(monkeypatch, events, module, name):
+    """Append ``name`` to ``events`` at each call of ``module.name``, then delegate."""
+    inner = getattr(module, name)
+
+    def logged(*args, **kwargs):
+        events.append(name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, logged)
 
 
 class CountingProvider:

@@ -315,10 +315,20 @@ def test_wrongly_typed_config_value_is_usage_error(tmp_path, capsys, settings, k
          '"direction": "forward", "support": 0}]', "entry 0"),
         ('[{"attr1": "Arena", "attr2": "Location", "context": ["in"], '
          '"direction": "forward", "support": -2}]', "entry 0"),
+        # context entries no page token can equal, so the pattern could never fill
+        ('[{"attr1": "Arena", "attr2": "Location", "context": ["IN"], '
+         '"direction": "forward", "support": 2}]', "entry 0"),
+        ('[{"attr1": "Arena", "attr2": "Location", "context": ["in the"], '
+         '"direction": "forward", "support": 2}]', "entry 0"),
+        ('[{"attr1": "Arena", "attr2": "Location", "context": [""], '
+         '"direction": "forward", "support": 2}]', "entry 0"),
+        ('[{"attr1": "Arena", "attr2": "Location", "context": ["in,"], '
+         '"direction": "forward", "support": 2}]', "entry 0"),
     ],
     ids=[
         "not-a-list", "entry-without-attr2", "empty-file", "string-context",
         "bool-support", "float-support", "list-attr1", "zero-support", "negative-support",
+        "upper-case-token", "spaced-token", "empty-token", "punctuated-token",
     ],
 )
 def test_malformed_pattern_cache_is_data_error(tmp_path, capsys, text, where):

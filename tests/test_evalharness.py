@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import random
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import pytest
 
 import webimpute.evalharness as evalharness
 import webimpute.pipeline as pipeline
-from oracles import CountingProvider, LiveCountingProvider, make_table
+from oracles import CountingProvider, LiveCountingProvider, log_calls, make_table
 from webimpute import (
     LocalCorpusProvider,
     MaskedCell,
@@ -259,17 +260,22 @@ class TestSweepMemo:
             assert got == want, got[:2]
 
     def test_live_provider_gets_the_queries_of_fresh_runs(self, tmp_path, monkeypatch):
-        table, ruleset, config, local = _memo_case(0, tmp_path)
-        swept, fresh = LiveCountingProvider(local), LiveCountingProvider(local)
-        _sweep_points(monkeypatch, table, ruleset, config, swept, RATIOS, SEEDS)
-        _fresh_points(table, ruleset, config, fresh, RATIOS, SEEDS)
-        assert swept.queries == fresh.queries
-        # the same sweep asks a provider that is not live each distinct Query
-        # (one config, so one page budget) once, in first-ask order
-        pure = CountingProvider(local)
-        _sweep_points(monkeypatch, table, ruleset, config, pure, RATIOS, SEEDS)
-        assert len(pure.queries) < len(fresh.queries)
-        assert pure.queries == list(dict.fromkeys(fresh.queries))
+        table, ruleset, plain, local = _memo_case(0, tmp_path)
+        cache = tmp_path / "patterns.json"
+        # with a pattern cache, its table serves a live provider as the file does
+        for config in [plain, replace(plain, pattern_cache=str(cache))]:
+            swept, fresh = LiveCountingProvider(local), LiveCountingProvider(local)
+            _sweep_points(monkeypatch, table, ruleset, config, swept, RATIOS, SEEDS)
+            cache.unlink(missing_ok=True)
+            _fresh_points(table, ruleset, config, fresh, RATIOS, SEEDS)
+            assert swept.queries == fresh.queries
+            # the same sweep asks a provider that is not live each distinct
+            # Query (one config, so one page budget) once, in first-ask order
+            pure = CountingProvider(local)
+            cache.unlink(missing_ok=True)
+            _sweep_points(monkeypatch, table, ruleset, config, pure, RATIOS, SEEDS)
+            assert len(pure.queries) < len(fresh.queries)
+            assert pure.queries == list(dict.fromkeys(fresh.queries))
 
     def test_a_sweep_reads_each_dictionary_file_once_before_its_first_mask(
         self, tmp_path, monkeypatch
@@ -296,6 +302,44 @@ class TestSweepMemo:
         files = sorted(config.dictionaries.values())
         assert sorted(events[:2]) == files
         assert events[2:] == ["mask"] * len(result.rows)
+
+    def test_a_cached_sweep_reads_its_file_once_and_writes_it_when_it_changes(
+        self, tmp_path, monkeypatch
+    ):
+        # only the first point mines patterns here, so the file changes once
+        table, ruleset, config, provider = _memo_case(0, tmp_path)
+        cache = tmp_path / "patterns.json"
+        config = replace(config, pattern_cache=str(cache))
+        events = []
+        log_calls(monkeypatch, events, pipeline, "load_patterns")
+        log_calls(monkeypatch, events, pipeline, "save_patterns")
+        log_calls(monkeypatch, events, evalharness, "mask_random")
+        masks = ["mask_random"] * (len(RATIOS) * len(SEEDS) - 1)
+        sweep(table, ruleset, config, provider, RATIOS, SEEDS, protected=["Name"])
+        assert events == ["mask_random", "save_patterns"] + masks
+        written = cache.read_bytes()
+        assert {(p["attr1"], p["attr2"]) for p in json.loads(written)} == {
+            ("Name", "City"), ("Name", "Code"),
+        }
+        # now the file exists: read before the first mask, and written by the
+        # first point only, in its canonical order
+        events.clear()
+        sweep(table, ruleset, config, provider, RATIOS, SEEDS, protected=["Name"])
+        assert events == ["load_patterns", "mask_random", "save_patterns"] + masks
+        assert cache.read_bytes() == written
+
+    def test_a_malformed_cache_stops_the_sweep_before_its_first_mask(
+        self, tmp_path, monkeypatch
+    ):
+        table, ruleset, config, provider = _memo_case(0, tmp_path)
+        cache = tmp_path / "patterns.json"
+        cache.write_text('[{"attr1": "Name", "context": ["in"]}]', encoding="utf-8")
+        config = replace(config, pattern_cache=str(cache))
+        events = []
+        log_calls(monkeypatch, events, evalharness, "mask_random")
+        with pytest.raises(ValueError, match="bad pattern entry 0"):
+            sweep(table, ruleset, config, provider, RATIOS, SEEDS, protected=["Name"])
+        assert events == []
 
     def test_lone_impute_calls_share_no_memo(self, tmp_path):
         table, ruleset, config, local = _memo_case(0, tmp_path)

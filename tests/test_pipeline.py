@@ -5,10 +5,12 @@ from dataclasses import replace
 
 import pytest
 
+import webimpute.pipeline as pipeline
 from oracles import (
     CountingProvider,
     LiveCountingProvider,
     frequent_corpus_case,
+    log_calls,
     make_table,
     scan_query_oracle,
     tied_corpus_case,
@@ -195,18 +197,36 @@ def test_sequential_and_parallel_agree(nba_table, nba_ruleset, nba_provider, nba
     assert a_dict == b_dict
 
 
-def test_pattern_cache_round_trip(nba_table, nba_ruleset, nba_provider, nba_config, tmp_path):
-    from dataclasses import replace
-    from webimpute.tabular import to_csv_text
-
+def test_pattern_cache_round_trip(
+    nba_table, nba_ruleset, nba_provider, nba_config, tmp_path, monkeypatch
+):
+    # a lone impute writes a missing cache file once; the next one reads it
+    # once, and writes it once too, as each lone impute makes its own memo
     cache = tmp_path / "patterns.json"
     config = replace(nba_config, pattern_cache=str(cache))
+    calls = []
+    log_calls(monkeypatch, calls, pipeline, "load_patterns")
+    log_calls(monkeypatch, calls, pipeline, "save_patterns")
     a_table, _ = impute(nba_table, nba_ruleset, config, nba_provider)
-    assert cache.exists()
+    assert calls == ["save_patterns"]
     first_bytes = cache.read_bytes()
     b_table, _ = impute(nba_table, nba_ruleset, config, nba_provider)
+    assert calls == ["save_patterns", "load_patterns", "save_patterns"]
     assert to_csv_text(a_table) == to_csv_text(b_table)
     assert cache.read_bytes() == first_bytes
+
+
+def test_a_malformed_cache_stops_a_lone_impute_before_phase_one(
+    nba_table, nba_ruleset, nba_provider, nba_config, tmp_path, monkeypatch
+):
+    cache = tmp_path / "patterns.json"
+    cache.write_text("[", encoding="utf-8")
+    calls = []
+    log_calls(monkeypatch, calls, pipeline, "impute_internal")
+    config = replace(nba_config, pattern_cache=str(cache))
+    with pytest.raises(ValueError, match="not a UTF-8 JSON file"):
+        impute(nba_table, nba_ruleset, config, nba_provider)
+    assert calls == []
 
 
 def test_provider_error_while_mining_leaves_the_pair_without_patterns(

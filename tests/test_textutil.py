@@ -1,7 +1,7 @@
 import random
 
 from oracles import tokenize_oracle
-from webimpute.textutil import find_token_seq, normalize, tokenize
+from webimpute.textutil import find_token_seq, is_token, normalize, tokenize
 
 # Characters whose case folding or word-character class differs from ASCII's:
 # İ folds to i + U+0307 (a combining mark \w does not match), ß and ﬁ grow
@@ -75,3 +75,15 @@ def test_find_token_seq_matches_brute_force():
         counts["overlap"] += any(j - i < n for i, j in zip(expected, expected[1:]))
         assert find_token_seq(haystack, needle) == expected, (haystack, needle)
     assert min(counts.values()) >= 100, counts
+
+
+def test_is_token_accepts_every_token_and_rejects_what_no_page_yields():
+    # a pattern file's context entries are checked with is_token: every
+    # token of every code point must pass, whereas tokenize(t) == (t,) would
+    # reject i + U+0307, the token of İ, which tokenizes again as ("i",)
+    text = " ".join(chr(c) for c in range(0x110000) if not 0xD800 <= c <= 0xDFFF)
+    tokens = set(tokenize(text)) | {t for c in NON_ASCII for t in tokenize(c * 2)}
+    assert "i\u0307" in tokens and tokenize("i\u0307") == ("i",)
+    assert len(tokens) > 100_000 and all(map(is_token, tokens))
+    for bad in ["IN", "in the", "", "in,", "ß", "ǅ", "e "]:
+        assert not is_token(bad), bad
