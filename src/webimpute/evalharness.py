@@ -7,10 +7,10 @@ attempted fills and the filling ratio over all masked cells, so the two
 metrics stay independent.  A grid point's own failure, a ratio it cannot
 mask (:class:`MaskError`), is recorded; any other error ends the sweep.
 
-The grid points of one ``sweep`` call share one :class:`SweepMemo`, made
-for the call's provider and configuration before the first mask, so every
-dictionary file, and the pattern cache file, is read before any point
-runs.  It reuses work only where the whole input of that work repeats, so a
+The grid points of one ``sweep`` call share one :class:`SweepMemo` as their
+provider, taken by ``SweepMemo.for_run`` before the first mask, so every
+dictionary file, and the pattern cache file, is read before any point runs.
+It reuses work only where the whole input of that work repeats, so a
 point's table and report are those of a run of its own.
 """
 
@@ -149,17 +149,13 @@ def run_one(
     ratio: float,
     seed: int,
     protected: Iterable[str] = (),
-    memo: SweepMemo | None = None,
 ) -> Metrics:
-    """mask -> impute -> evaluate for one grid point, with wall time.
-
-    ``memo`` is handed to ``impute``: work shared with the sweep's other points.
-    """
+    """mask -> impute -> evaluate one grid point, timed; a SweepMemo provider shares work."""
     spec = MaskSpec(ratio=ratio, seed=seed, protected_attrs=frozenset(protected))
     masked, truth = mask_random(table, spec, rules=ruleset.rules)
     start = time.perf_counter()
     run_ruleset = RuleSet.estimate(ruleset.rules, masked)
-    imputed, report = impute(masked, run_ruleset, config, provider, memo=memo)
+    imputed, report = impute(masked, run_ruleset, config, provider)
     elapsed = time.perf_counter() - start
     metrics = evaluate(truth, imputed)
     metrics.wall_time = elapsed
@@ -178,14 +174,12 @@ def sweep(
 ) -> SweepResult:
     """The full (ratio x seed) grid, one grid point after another, sharing one memo."""
     protected = frozenset(protected)
-    memo = SweepMemo(provider, config)
+    memo = SweepMemo.for_run(provider, config)
     rows = []
     for ratio in ratios:
         for seed in seeds:
             try:
-                metrics = run_one(
-                    table, ruleset, config, provider, ratio, seed, protected, memo
-                )
+                metrics = run_one(table, ruleset, config, memo, ratio, seed, protected)
                 rows.append(SweepRow(ratio, seed, metrics))
             except MaskError as exc:  # recorded, sweep continues
                 log.warning("sweep cell ratio=%g seed=%d failed: %s", ratio, seed, exc)

@@ -134,9 +134,6 @@ def extract_by_keywords(
     the lexicographically smaller value.  Returns None when no dictionary
     entry occurs in any document.
     """
-    if not dictionary.entries:
-        log.warning("empty dictionary for %r: nothing to extract", dictionary.attr)
-        return None
     anchors = [(kw, seq) for kw in keywords[:-1] if (seq := tokenize(kw))]
     best: tuple[float, int, int, str] | None = None
     for rank, doc in enumerate(documents):

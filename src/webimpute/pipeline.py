@@ -8,10 +8,10 @@ attribute pairs, and fall back to keyword-group extraction when no pattern
 produces a value.  Rules and dictionaries may name only table columns, and
 every dictionary file, and the pattern cache file if there is one, is read
 when the run's :class:`SweepMemo` is made: before phase 1, or before the
-first mask of the sweep that hands the run its memo.  The cache file is
-written after mining, at most once a run.  Phase 2 runs serially, one cell
-at a time; every cell is evaluated against the phase-1 snapshot and its
-fill is applied afterwards, so no phase-2 fill influences another cell.
+first mask of a sweep, which hands it to each run as its provider.  The
+cache file is written after mining, at most once a run.  Phase 2 runs one
+cell at a time; every cell is evaluated against the phase-1 snapshot and
+its fill is applied afterwards, so no phase-2 fill influences another cell.
 Provider failures mark the cell abstained and never abort a run.
 """
 
@@ -178,14 +178,13 @@ _UNSET = object()
 class SweepMemo:
     """Work that repeats across the imputation runs of one sweep, done once.
 
-    ``evalharness.sweep`` makes one for its whole grid; a lone ``impute``
-    makes its own.  A memo is made for one provider and one configuration,
-    and ``impute`` refuses it, with a ``ValueError`` before any query, for
-    another provider object or a configuration unequal to the one it was
-    made with, one changed in place since included.  It reads each
-    ``dictionaries`` file, and the ``pattern_cache`` file if it exists, when
-    it is made.  It is the provider that phase 2 queries: a retryable
-    failure gets ``query_retries`` more attempts.
+    A memo wraps one provider for one configuration; runs that take the same
+    memo as their provider share its work.  ``impute`` and
+    ``evalharness.sweep`` take theirs by :meth:`for_run`, which refuses a memo
+    made for an unequal configuration with a ``ValueError`` before any query.
+    It reads each ``dictionaries`` file, and the ``pattern_cache`` file if it
+    exists, when it is made.  It is the provider that phase 2 queries: a
+    retryable failure gets ``query_retries`` more attempts.
 
     The cache table holds each pair's patterns, from the cache file in file
     order, and ``mine`` returns them first, whatever the mining sample.  With
@@ -204,8 +203,8 @@ class SweepMemo:
     (see ``SearchProvider``); errors never are, and a pair whose mining
     fails gets no patterns in that run.  A miss asks the provider or
     calls this module's ``build_dictionary``, ``mine_patterns`` or
-    ``extract_by_pattern``.  Nothing but the cache file outlives the memo:
-    separate sweeps, or separate lone ``impute`` calls, share no answer.
+    ``extract_by_pattern``.  Nothing but the cache file outlives the memo, so
+    runs on separate memos share no answer.
     """
 
     def __init__(self, provider: SearchProvider, config: RunConfig) -> None:
@@ -226,6 +225,15 @@ class SweepMemo:
             for p in load_patterns(path):  # each pair's patterns in file order
                 self._cache[p.attr1, p.attr2] = self._cache.get((p.attr1, p.attr2), ()) + (p,)
             log.info("loaded %d cached pattern pairs from %s", len(self._cache), path)
+
+    @classmethod
+    def for_run(cls, provider: SearchProvider, config: RunConfig) -> "SweepMemo":
+        """``provider`` if it is a memo (of ``config``, else ValueError), or a new memo over it."""
+        if not isinstance(provider, cls):
+            return cls(provider, config)
+        if asdict(config) != provider._settings:  # a config changed in place too
+            raise ValueError("a SweepMemo serves only the configuration it was made for")
+        return provider
 
     def query(self, q: Query) -> list:
         """The provider's answer to ``q``, as a list of the caller's own."""
@@ -321,6 +329,8 @@ def _extract_cell(
         group_weight=graph.weight,
         alternatives=alternatives,
     )
+    if not dictionary.entries:  # neither extractor can read a value: ask nothing
+        return CellOutcome(outcome=ABSTAINED, reason="no extraction", **base)
     try:
         for source, known_value in zip(graph.source_attrs, graph.source_values):
             if (extract := extractors.get((source, attr))) is not None:
@@ -347,23 +357,18 @@ def impute(
     ruleset: RuleSet,
     config: RunConfig,
     provider: SearchProvider,
-    memo: SweepMemo | None = None,
 ) -> tuple[Table, RunReport]:
     """Run the full flow and report one outcome per initially-missing cell.
 
-    ``memo`` holds work shared with other runs on the same provider and
-    configuration (see :class:`SweepMemo`); by default the run makes its own.
+    To share work with other runs, pass one :class:`SweepMemo` as every
+    run's ``provider``; any other provider gets a memo of the run's own.
     """
     for named, attrs in [
         ("rules reference", ruleset.referenced_attrs()), ("dictionaries name", config.dictionaries)
     ]:
         if unknown := sorted(set(attrs) - set(table.columns)):
             raise ValueError(f"{named} attributes not in table: {', '.join(unknown)}")
-    settings = asdict(config)
-    if memo is None:
-        memo = SweepMemo(provider, config)
-    elif provider is not memo._provider or settings != memo._settings:
-        raise ValueError("a SweepMemo serves only the provider and configuration it was made for")
+    memo = SweepMemo.for_run(provider, config)
     t_start = time.perf_counter()
     initial_missing = list(table.missing_cells())
 
@@ -445,7 +450,7 @@ def impute(
         initial_missing=len(initial_missing),
         outcomes=ordered,
         internal_decisions=decisions,
-        config=settings,
+        config=asdict(config),
         timings={
             "internal_s": t_internal - t_start,
             "web_s": t_end - t_internal,

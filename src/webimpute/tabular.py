@@ -261,9 +261,18 @@ def read_json_list(path: str | Path, kind: str, build: Callable[[dict], T]) -> l
 
 
 def read_ground_truth(path: str | Path) -> list[MaskedCell]:
-    return read_json_list(
+    """A ground-truth file's entries; a cell named twice is a ValueError."""
+    truth = read_json_list(
         path, "ground-truth", lambda d: MaskedCell(d["row"], d["attr"], d["value"])
     )
+    first: dict[tuple[int, str], int] = {}
+    for i, cell in enumerate(truth):
+        if (j := first.setdefault((cell.row, cell.attr), i)) != i:
+            raise ValueError(
+                f"{path}: bad ground-truth entry {i}: cell (row {cell.row}, {cell.attr!r})"
+                f" is named by entry {j} too"
+            )
+    return truth
 
 
 def mask_random(

@@ -580,6 +580,54 @@ def conditions_hold(table: Table, row: int, condition) -> bool:
     return all(table.cell(row, a) == literal for a, literal in condition)
 
 
+def violations_oracle(table: Table, rules) -> list[tuple[str, int, int, str]]:
+    """``(rule id, row, later row, RHS attribute)`` for every pair of rows that
+    both meet a rule's condition, agree on its whole LHS, every LHS cell
+    present, and hold two different present values of that RHS attribute."""
+    found = []
+    for rule in rules:
+        rows = [r for r in range(len(table.rows)) if conditions_hold(table, r, rule.condition)]
+        for i, j in itertools.combinations(rows, 2):
+            lhs = [table.cell(i, a) for a in rule.lhs]
+            if MISSING in lhs or lhs != [table.cell(j, a) for a in rule.lhs]:
+                continue
+            for attr in rule.rhs:
+                x, y = table.cell(i, attr), table.cell(j, attr)
+                if MISSING not in (x, y) and x != y:
+                    found.append((rule.id, i, j, attr))
+    return found
+
+
+def random_fd_case(rng: random.Random, max_lhs: int = 1):
+    """A complete table and FDs that it satisfies, none with a condition.
+
+    The first attribute, and each later one a time in four, is a root whose
+    values are drawn from two to four.  Every other attribute takes its
+    value from a random map of 1 to ``max_lhs`` earlier attributes, with
+    three values for the map to choose from, and that dependency is its
+    rule, so an attribute has at most one rule into it.
+    """
+    attrs = ["A", "B", "C", "D", "E"][: rng.randint(3, 5)]
+    lhs = {}
+    for i, attr in enumerate(attrs[1:], 1):
+        if rng.random() >= 0.25:
+            lhs[attr] = tuple(rng.sample(attrs[:i], rng.randint(1, min(max_lhs, i))))
+    domain = {a: rng.randint(2, 4) for a in attrs if a not in lhs}
+    maps = {a: {} for a in lhs}
+    rows = []
+    for _ in range(rng.randint(6, 20)):
+        row = {}
+        for attr in attrs:
+            if attr in lhs:
+                key = tuple(row[a] for a in lhs[attr])
+                row[attr] = maps[attr].setdefault(key, f"{attr.lower()}{rng.randrange(3)}")
+            else:
+                row[attr] = f"{attr.lower()}{rng.randrange(domain[attr])}"
+        rows.append([row[a] for a in attrs])
+    rules = [Rule(f"r{i}", (), lhs[a], (a,)) for i, a in enumerate(lhs)]
+    return Table("fd", attrs, rows), rules
+
+
 def random_bayes_case(rng: random.Random):
     """A small complete table, rules, one masked cell, and a threshold."""
     n_attrs = rng.randint(2, 4)

@@ -16,6 +16,8 @@ from oracles import (
     random_bayes_case,
     random_count_case,
     random_count_table_case,
+    random_fd_case,
+    violations_oracle,
     with_cells_oracle,
 )
 from webimpute import (
@@ -28,7 +30,7 @@ from webimpute import (
 from webimpute.bayes import BayesDecision, CandidateScore, _FrequencyCounts
 from webimpute.rules import parse_rules_file
 from webimpute.synth import write_university_fixture
-from webimpute.tabular import MaskSpec, load_table, mask_random
+from webimpute.tabular import MaskError, MaskSpec, load_table, mask_random, to_csv_text
 
 
 def setup_ruleset(text, table):
@@ -517,3 +519,24 @@ def test_joints_are_computed_once_per_distinct_evidence_and_round(monkeypatch):
     assert len(decisions) == 41
     assert sorted(Counter(id(counts) for counts, _ in calls).values()) == [5, 8, 8]
     assert len({(id(counts), evidence) for counts, evidence in calls}) == len(calls)
+
+
+def test_phase_one_adds_no_violation_under_single_determinant_fds():
+    # a table that satisfies its one-attribute FDs, masked at 0.3, still
+    # satisfies them after phase 1 (k = 0.5).  Two-determinant FDs do not
+    # hold this: naive Bayes scores each determinant's value apart
+    rng = random.Random(20261022)
+    tables = fills = 0
+    while tables < 1000:
+        table, rules = random_fd_case(rng)
+        assert violations_oracle(table, rules) == []
+        try:
+            masked, _ = mask_random(table, MaskSpec(0.3, rng.randrange(10**6)), rules=rules)
+        except MaskError:
+            continue
+        graph = build_dependency_graph(RuleSet.estimate(rules, masked))
+        filled, decisions = impute_internal(masked, graph, 0.5)
+        assert violations_oracle(filled, rules) == [], (tables, to_csv_text(masked))
+        tables += 1
+        fills += sum(d.chosen is not None for d in decisions)
+    assert fills >= 2000, fills

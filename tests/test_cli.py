@@ -359,27 +359,36 @@ def test_ground_truth_entry_without_row_is_data_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "entry",
+    "entries, where",
     [
-        {"row": 2.7, "attr": "Team", "value": "x"},
-        {"row": True, "attr": "Team", "value": "x"},
-        {"row": 1, "attr": "Team", "value": 5},
-        {"row": 1, "attr": None, "value": "x"},
-        {"row": -1, "attr": "Team", "value": "x"},
+        ([{"row": 2.7, "attr": "Team", "value": "x"}], "entry 0"),
+        ([{"row": True, "attr": "Team", "value": "x"}], "entry 0"),
+        ([{"row": 1, "attr": "Team", "value": 5}], "entry 0"),
+        ([{"row": 1, "attr": None, "value": "x"}], "entry 0"),
+        ([{"row": -1, "attr": "Team", "value": "x"}], "entry 0"),
+        (
+            [
+                {"row": 0, "attr": "Team", "value": "Golden State Warriors"},
+                {"row": 1, "attr": "Team", "value": "x"},
+                {"row": 0, "attr": "Team", "value": "zz"},
+            ],
+            "entry 2",
+        ),
     ],
-    ids=["float-row", "bool-row", "number-value", "null-attr", "negative-row"],
+    ids=["float-row", "bool-row", "number-value", "null-attr", "negative-row", "repeated-cell"],
 )
-def test_wrongly_typed_ground_truth_entry_is_data_error(tmp_path, capsys, entry):
+def test_wrongly_typed_ground_truth_entry_is_data_error(tmp_path, capsys, entries, where):
     # a row of 2.7 used to score the cell in row 2; a numeric value got as far
-    # as scoring and raised AttributeError there
+    # as scoring and raised AttributeError there; a cell named twice was
+    # scored twice, once against each value
     truth = tmp_path / "truth.json"
-    truth.write_text(json.dumps([entry]), encoding="utf-8")
+    truth.write_text(json.dumps(entries), encoding="utf-8")
     code = run("eval", "--table", str(DATA / "nba.csv"), "--truth", str(truth))
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
-    assert len(errors) == 1 and str(truth) in errors[0] and "entry 0" in errors[0]
+    assert len(errors) == 1 and str(truth) in errors[0] and where in errors[0]
 
 
 def _impute_args(tmp_path, **paths):

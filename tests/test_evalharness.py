@@ -19,7 +19,7 @@ from webimpute import (
     sweep,
 )
 from webimpute.evalharness import run_one
-from webimpute.pipeline import impute
+from webimpute.pipeline import SweepMemo, impute
 from webimpute.tabular import MISSING, MaskError, MaskSpec, mask_random, to_csv_text
 
 
@@ -349,3 +349,44 @@ class TestSweepMemo:
         first = list(provider.queries)
         impute(masked, ruleset, config, provider)
         assert first and provider.queries == first * 2
+
+    def test_lone_impute_calls_handed_one_memo_share_its_work(self, tmp_path, monkeypatch):
+        # each distinct query reaches the provider once across the runs, a
+        # repeated mask mines nothing again, and each run's table and report
+        # are those of a run with a fresh provider
+        table, ruleset, config, local = _memo_case(0, tmp_path)
+        counted, fresh = CountingProvider(local), CountingProvider(local)
+        memo = SweepMemo(counted, config)
+        events, mined = [], []
+        log_calls(monkeypatch, events, pipeline, "mine_patterns")
+        for seed in (1, 2, 1):
+            masked, _ = mask_random(
+                table, MaskSpec(0.5, seed, frozenset({"Name"})), rules=ruleset.rules
+            )
+            texts = []
+            for provider in (memo, fresh):
+                imputed, report = impute(masked, ruleset, config, provider)
+                mined.append(len(events))
+                events.clear()
+                texts.append(to_csv_text(imputed) + report.to_json(include_timings=False))
+            assert texts[0] == texts[1]
+        assert mined[4] == 0 < mined[5]
+        assert len(counted.queries) < len(fresh.queries)
+        assert counted.queries == list(dict.fromkeys(fresh.queries))
+
+    def test_a_sweep_takes_a_memo_as_its_provider(self, tmp_path, monkeypatch):
+        # a second sweep on the same memo asks nothing new; a memo made for
+        # another configuration stops a sweep before its first mask
+        table, ruleset, config, local = _memo_case(0, tmp_path)
+        counted = CountingProvider(local)
+        memo = SweepMemo(counted, config)
+        first = _sweep_points(monkeypatch, table, ruleset, config, memo, RATIOS, SEEDS)
+        asked = list(counted.queries)
+        second = _sweep_points(monkeypatch, table, ruleset, config, memo, RATIOS, SEEDS)
+        assert asked and counted.queries == asked
+        assert second == first == _fresh_points(table, ruleset, config, local, RATIOS, SEEDS)
+        events = []
+        log_calls(monkeypatch, events, evalharness, "mask_random")
+        with pytest.raises(ValueError, match="configuration it was made for"):
+            sweep(table, ruleset, replace(config, pages=3), memo, RATIOS, SEEDS)
+        assert events == []

@@ -349,17 +349,37 @@ def test_dictionary_file_is_read_even_without_a_phase_two_cell(
     assert provider.queries == []
 
 
-def test_phase_two_queries_cells_in_row_major_order():
+def test_phase_two_queries_cells_in_row_major_order(tmp_path):
     # Z comes before B in the table but after it by name; no row is complete,
-    # so phase 1 fills nothing and no pattern is mined: every query is a cell's
+    # so phase 1 fills nothing and no pattern is mined: every query is a cell's.
+    # The dictionary files give each cell something to extract, so it asks
     table = make_table(["K", "Z", "B"], [["k1", MISSING, MISSING], ["k2", MISSING, MISSING]])
     ruleset = RuleSet(
         parse_rules("r1: K -> Z\nr2: K -> B"), {("r1", "Z"): 1.0, ("r2", "B"): 1.0}
     )
+    (tmp_path / "z.dict").write_text("z1\n", encoding="utf-8")
+    (tmp_path / "b.dict").write_text("b1\n", encoding="utf-8")
+    config = RunConfig(dictionaries={"Z": str(tmp_path / "z.dict"), "B": str(tmp_path / "b.dict")})
     provider = CountingProvider(LocalCorpusProvider([]))
-    _, report = impute(table, ruleset, RunConfig(), provider)
+    _, report = impute(table, ruleset, config, provider)
     assert [o.reason for o in report.outcomes] == ["no extraction"] * 4
     assert provider.queries == [("k1", "Z"), ("k1", "B"), ("k2", "Z"), ("k2", "B")]
+
+
+def test_an_empty_sink_dictionary_asks_nothing(caplog):
+    # no A value is known, so A's dictionary is empty and neither extractor
+    # can read a value: each cell abstains at once, and the one warning is
+    # the dictionary build's
+    table = make_table(["K", "A"], [[f"k{i}", MISSING] for i in range(3)])
+    ruleset = RuleSet(parse_rules("r: K -> A"), {("r", "A"): 1.0})
+    provider = CountingProvider(LocalCorpusProvider([("d1", "k0 is in a1 for A")]))
+    with caplog.at_level("WARNING"):
+        _, report = impute(table, ruleset, RunConfig(), provider)
+    assert [(o.outcome, o.reason) for o in report.outcomes] == [
+        (ABSTAINED, "no extraction")
+    ] * 3
+    assert provider.queries == []
+    assert [r.getMessage() for r in caplog.records] == ["dictionary for 'A' is empty"]
 
 
 def test_nothing_filled_still_returns_a_new_table():
@@ -483,29 +503,30 @@ def test_a_memo_serves_only_its_own_provider_and_config(
     nba_table, nba_ruleset, nba_provider, nba_config
 ):
     # a memo keeps mined patterns and answers of the provider and the config
-    # it was made for: handed to a run on an empty corpus, it used to fill two
-    # cells by pattern, and its keys hold no config count, so a run with
-    # other counts or dictionary files would read another config's work
+    # it was made for, and a run takes it as its provider.  Its keys hold no
+    # config count, so a run with other counts or dictionary files is refused
+    # before any query, a config changed in place since the memo was made too
     config = replace(nba_config, dictionaries=dict(nba_config.dictionaries))
     counted = CountingProvider(nba_provider)
     memo = SweepMemo(counted, config)
 
-    def rejected(run_config, provider=counted):
-        with pytest.raises(ValueError, match="provider and configuration"):
-            impute(nba_table, nba_ruleset, run_config, provider, memo=memo)
+    def rejected(run_config):
+        with pytest.raises(ValueError, match="configuration it was made for"):
+            impute(nba_table, nba_ruleset, run_config, memo)
 
-    empty = CountingProvider(LocalCorpusProvider([]))
-    rejected(config, empty)
-    assert empty.queries == []
-    _, report = impute(nba_table, nba_ruleset, config, empty)
-    assert report.counts[FILLED_PATTERN] == 0
     rejected(replace(config, pages=4))
-    config.sample = 4  # changed in place after the memo was made
+    config.sample = 4
     rejected(config)
     config.sample = 5
     config.dictionaries.clear()
     rejected(config)
     config.dictionaries.update(nba_config.dictionaries)
     assert counted.queries == []
-    _, report = impute(nba_table, nba_ruleset, config, counted, memo=memo)
+    _, report = impute(nba_table, nba_ruleset, config, memo)
     assert report.counts[FILLED_PATTERN] == 2
+    # another provider gets a memo of its own: a memo paired with the NBA
+    # corpus's patterns used to fill two cells by pattern on an empty corpus
+    empty = CountingProvider(LocalCorpusProvider([]))
+    _, report = impute(nba_table, nba_ruleset, config, empty)
+    assert report.counts[FILLED_PATTERN] == 0
+    assert empty.queries
